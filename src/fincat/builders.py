@@ -50,6 +50,12 @@ class NamedFiniteSet:
         return self.elements.index(x)
 
 
+def subset_label(subset: frozenset, universe: NamedFiniteSet) -> str:
+    """Canonical label of a subset: elements in universe order inside braces."""
+    members = [str(x) for x in universe.elements if x in subset]
+    return "{" + ",".join(members) + "}"
+
+
 @dataclass(frozen=True)
 class FiniteFunction:
     """A total function between named finite sets, given by its graph."""

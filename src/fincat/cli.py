@@ -236,8 +236,7 @@ def _cmd_adjoints(args) -> tuple[Report, list[str]]:
     right = galois.right_adjoint(gmap)
     if right is None:
         for z in gmap.cod.elements:
-            below = [x for x in gmap.dom.elements if gmap.cod.le(gmap(x), z)]
-            if gmap.dom.greatest_of(below) is None:
+            if galois.greatest_below(gmap, z) is None:
                 witnesses.append(f"{z} has no greatest element mapped below it")
     else:
         right_graph = {z: right.graph[z] for z in right.dom.elements}

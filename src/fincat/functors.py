@@ -20,6 +20,7 @@ from .builders import (
     poset_arrow_name,
     poset_as_category,
     poset_from_category,
+    subset_label,
 )
 from .core import (
     ArrowId,
@@ -161,12 +162,6 @@ def check_iso_preservation(F: Functor, budget: int = DEFAULT_BUDGET) -> bool:
         if image_inverse is None or image_inverse != F.arrow_map[inverse]:
             return False
     return True
-
-
-def subset_label(subset: frozenset, universe: NamedFiniteSet) -> str:
-    """Canonical label of a subset: elements in universe order inside braces."""
-    members = [str(x) for x in universe.elements if x in subset]
-    return "{" + ",".join(members) + "}"
 
 
 def powerset_of(s: NamedFiniteSet) -> NamedFiniteSet:

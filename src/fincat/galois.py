@@ -4,6 +4,15 @@ certificate checking, and the floor/ceiling inclusion worked end to end.
 Everything is exact -- comparisons are order-table lookups, never tolerances.
 An adjoint pair here is a Galois connection: monotone f : P -> Q and
 g : Q -> P with ``x <= g(z)  iff  f(x) <= z`` for all x, z.
+
+Orders are bitmasks: a subset of a poset is the int whose bit i stands for
+``elements[i]``, and each element keeps its up-set and down-set as masks.
+With n elements and m related pairs, construction and validation take O(m)
+mask operations (``from_relation`` closes by Warshall's algorithm, O(n²));
+``le`` is two index lookups and a bit test; ``least_of``, ``greatest_of``,
+``glb`` and ``lub`` take one AND per member; ``MonotoneMap`` checks one bit
+per related pair of its domain; adjoint search and ``adjunction_witness``
+take O(|P|·|Q|) bit tests.
 """
 
 from __future__ import annotations
@@ -11,11 +20,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import AdjunctionFails, InvalidPoset, NotMonotone, UnknownElement
 
 Element = str
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _indexed(elements: tuple) -> dict:
+    index = {x: i for i, x in enumerate(elements)}
+    if len(index) != len(elements):
+        raise InvalidPoset("duplicate elements")
+    return index
 
 
 @dataclass(frozen=True)
@@ -24,28 +48,42 @@ class FinitePoset:
 
     ``leq`` must contain every related pair explicitly, reflexive pairs
     included; :meth:`from_relation` closes an arbitrary sparse relation first.
+    Construction derives ``index`` (element -> position) and the masks of the
+    elements above (``ups[i]``) and below (``downs[i]``) ``elements[i]``; a
+    violation is reported at its first element in element order.
     """
 
     elements: tuple[Element, ...]
     leq: frozenset[tuple[Element, Element]]
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
-            raise InvalidPoset("duplicate elements")
-        known = set(self.elements)
-        for x, y in self.leq:
-            if x not in known or y not in known:
-                raise InvalidPoset(f"relation mentions unknown element in ({x!r}, {y!r})")
-        for x in self.elements:
-            if (x, x) not in self.leq:
+        index = _indexed(self.elements)
+        ups = [0] * len(index)
+        downs = [0] * len(index)
+        try:
+            for x, y in self.leq:
+                i, j = index[x], index[y]
+                ups[i] |= 1 << j
+                downs[j] |= 1 << i
+        except KeyError:
+            x, y = min((p for p in self.leq if not {*p} <= index.keys()), key=repr)
+            raise InvalidPoset(f"relation mentions unknown element in ({x!r}, {y!r})") from None
+        names = self.elements
+        for i, x in enumerate(names):
+            if not ups[i] >> i & 1:
                 raise InvalidPoset(f"relation is not reflexive at {x!r}")
-        for x, y in self.leq:
-            for y2, z in self.leq:
-                if y == y2 and (x, z) not in self.leq:
-                    raise InvalidPoset(f"relation is not transitive: {x!r} <= {y!r} <= {z!r}")
-        for x, y in self.leq:
-            if x != y and (y, x) in self.leq:
+        for i, x in enumerate(names):
+            for j in bits(ups[i]):
+                if ups[j] & ~ups[i]:
+                    z = names[next(bits(ups[j] & ~ups[i]))]
+                    raise InvalidPoset(f"relation is not transitive: {x!r} <= {names[j]!r} <= {z!r}")
+        for i, x in enumerate(names):
+            if ups[i] & downs[i] != 1 << i:
+                y = names[next(bits(ups[i] & downs[i] & ~(1 << i)))]
                 raise InvalidPoset(f"relation is not antisymmetric on {x!r}, {y!r}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "ups", tuple(ups))
+        object.__setattr__(self, "downs", tuple(downs))
 
     @classmethod
     def from_relation(
@@ -54,71 +92,73 @@ class FinitePoset:
         """Build a poset from a sparse relation: reflexive-transitive closure
         is applied, then antisymmetry is checked."""
         elems = tuple(elements)
-        rel = {(x, x) for x in elems} | {tuple(p) for p in pairs}
-        grown = True
-        while grown:
-            grown = False
-            for x, y in tuple(rel):
-                for y2, z in tuple(rel):
-                    if y == y2 and (x, z) not in rel:
-                        rel.add((x, z))
-                        grown = True
-        return cls(elems, frozenset(rel))
+        index = _indexed(elems)
+        ups = [1 << i for i in range(len(elems))]
+        for x, y in pairs:
+            if x not in index or y not in index:
+                raise InvalidPoset(f"relation mentions unknown element in ({x!r}, {y!r})")
+            ups[index[x]] |= 1 << index[y]
+        for k in range(len(elems)):  # Warshall: paths through elements[k]
+            bit, above = 1 << k, ups[k]
+            for i, row in enumerate(ups):
+                if row & bit:
+                    ups[i] = row | above
+        return cls(elems, frozenset((x, elems[j]) for x, row in zip(elems, ups) for j in bits(row)))
 
     @classmethod
     def chain(cls, elements: Iterable[Element]) -> "FinitePoset":
         """Total order in the given element order."""
         elems = tuple(elements)
-        rel = {
-            (elems[i], elems[j])
-            for i in range(len(elems))
-            for j in range(i, len(elems))
-        }
-        return cls(elems, frozenset(rel))
+        return cls(elems, frozenset((x, y) for i, x in enumerate(elems) for y in elems[i:]))
 
     @classmethod
     def antichain(cls, elements: Iterable[Element]) -> "FinitePoset":
         elems = tuple(elements)
         return cls(elems, frozenset((x, x) for x in elems))
 
-    def le(self, x: Element, y: Element) -> bool:
-        for e in (x, y):
-            if e not in self._element_set:
-                raise UnknownElement(f"unknown element {e!r}")
-        return (x, y) in self.leq
+    def position(self, x: Element) -> int:
+        try:
+            return self.index[x]
+        except KeyError:
+            raise UnknownElement(f"unknown element {x!r}") from None
 
-    @property
-    def _element_set(self) -> frozenset:
-        return frozenset(self.elements)
+    def le(self, x: Element, y: Element) -> bool:
+        return bool(self.ups[self.position(x)] >> self.position(y) & 1)
+
+    def mask(self, subset: Iterable[Element]) -> int:
+        """The mask of ``subset``; raises UnknownElement on a stranger."""
+        return sum(1 << self.position(x) for x in set(subset))
+
+    def members(self, mask: int) -> tuple[Element, ...]:
+        """The elements of ``mask`` in element order."""
+        return tuple(self.elements[i] for i in bits(mask))
+
+    def _pick(self, mask: int, bounds: tuple[int, ...]) -> Element | None:
+        """The member of ``mask`` bounding all of it: least when ``bounds`` are downs."""
+        found = mask
+        for i in bits(mask):
+            found &= bounds[i]
+        return self.elements[next(bits(found))] if found else None
 
     def least_of(self, subset: Iterable[Element]) -> Element | None:
         """The least element of ``subset`` within this order, if any."""
-        items = [x for x in self.elements if x in set(subset)]
-        for cand in items:
-            if all(self.le(cand, other) for other in items):
-                return cand
-        return None
+        return self._pick(self.mask(subset), self.downs)
 
     def greatest_of(self, subset: Iterable[Element]) -> Element | None:
-        items = [x for x in self.elements if x in set(subset)]
-        for cand in items:
-            if all(self.le(other, cand) for other in items):
-                return cand
-        return None
+        return self._pick(self.mask(subset), self.ups)
 
     def glb(self, x: Element, y: Element) -> Element | None:
-        """Greatest lower bound of x and y, computed element by element."""
-        lower = [z for z in self.elements if self.le(z, x) and self.le(z, y)]
-        return self.greatest_of(lower)
+        """Greatest lower bound of x and y, if any."""
+        return self._pick(self.downs[self.position(x)] & self.downs[self.position(y)], self.ups)
 
     def lub(self, x: Element, y: Element) -> Element | None:
-        upper = [z for z in self.elements if self.le(x, z) and self.le(y, z)]
-        return self.least_of(upper)
+        return self._pick(self.ups[self.position(x)] & self.ups[self.position(y)], self.downs)
 
 
 @dataclass(frozen=True)
 class MonotoneMap:
-    """An order-preserving total map between finite posets."""
+    """An order-preserving total map between finite posets; ``image[i]`` is
+    the codomain position of the image of ``dom.elements[i]``."""
 
     dom: FinitePoset
     cod: FinitePoset
@@ -128,26 +168,33 @@ class MonotoneMap:
         for x in self.dom.elements:
             if x not in self.graph:
                 raise UnknownElement(f"map is undefined on {x!r}")
-            if self.graph[x] not in self.cod._element_set:
-                raise UnknownElement(
-                    f"map sends {x!r} to unknown element {self.graph[x]!r}"
-                )
-        for extra in set(self.graph) - set(self.dom.elements):
-            raise UnknownElement(f"map is defined on unknown element {extra!r}")
-        for x in self.dom.elements:
-            for y in self.dom.elements:
-                if self.dom.le(x, y) and not self.cod.le(self.graph[x], self.graph[y]):
+            if self.graph[x] not in self.cod.index:
+                raise UnknownElement(f"map sends {x!r} to unknown element {self.graph[x]!r}")
+        for extra in self.graph:
+            if extra not in self.dom.index:
+                raise UnknownElement(f"map is defined on unknown element {extra!r}")
+        image = tuple(self.cod.index[self.graph[x]] for x in self.dom.elements)
+        for i, x in enumerate(self.dom.elements):
+            allowed = self.cod.ups[image[i]]
+            for j in bits(self.dom.ups[i]):
+                if not allowed >> image[j] & 1:
+                    y = self.dom.elements[j]
                     raise NotMonotone(
                         f"{x!r} <= {y!r} but images {self.graph[x]!r}, "
                         f"{self.graph[y]!r} are not ordered",
                         witness=(x, y),
                     )
+        object.__setattr__(self, "image", image)
 
     def __call__(self, x: Element) -> Element:
         try:
             return self.graph[x]
         except KeyError:
             raise UnknownElement(f"unknown element {x!r}") from None
+
+    def preimage(self, mask: int) -> int:
+        """The mask over dom of the elements sent into ``mask`` over cod."""
+        return sum(1 << i for i, c in enumerate(self.image) if mask >> c & 1)
 
     @classmethod
     def identity(cls, P: FinitePoset) -> "MonotoneMap":
@@ -177,17 +224,10 @@ class Approximation:
 
 def approximation_report(g: MonotoneMap, x: Element) -> Approximation:
     """All y in dom(g) with x <= g(y), and the least such y when it exists."""
-    P = g.cod
-    Q = g.dom
-    if x not in P._element_set:
-        raise UnknownElement(f"unknown element {x!r}")
-    approximants = tuple(y for y in Q.elements if P.le(x, g(y)))
-    if not approximants:
-        return Approximation(x, approximants, None, "empty")
-    least = Q.least_of(approximants)
-    if least is None:
-        return Approximation(x, approximants, None, "no-least")
-    return Approximation(x, approximants, least, "found")
+    above = g.preimage(g.cod.ups[g.cod.position(x)])
+    least = g.dom._pick(above, g.dom.downs)
+    status = "found" if least is not None else "no-least" if above else "empty"
+    return Approximation(x, g.dom.members(above), least, status)
 
 
 def best_approximation(g: MonotoneMap, x: Element) -> Element | None:
@@ -195,30 +235,30 @@ def best_approximation(g: MonotoneMap, x: Element) -> Element | None:
     return approximation_report(g, x).best
 
 
-def left_adjoint(g: MonotoneMap) -> MonotoneMap | None:
-    """The map f with x <= g(z) iff f(x) <= z, if every x has a best approximant.
+def greatest_below(f: MonotoneMap, z: Element) -> Element | None:
+    """The greatest x with f(x) <= z, or None: the right adjoint's value at z."""
+    return f.dom._pick(f.preimage(f.cod.downs[f.cod.position(z)]), f.dom.ups)
 
-    Monotonicity of the result is re-verified by construction, never assumed.
-    """
+
+def _pointwise(m: MonotoneMap, search) -> MonotoneMap | None:
+    """The map cod -> dom found pointwise by ``search``, if total (and re-checked monotone)."""
     graph = {}
-    for x in g.cod.elements:
-        best = best_approximation(g, x)
-        if best is None:
+    for x in m.cod.elements:
+        found = search(m, x)
+        if found is None:
             return None
-        graph[x] = best
-    return MonotoneMap(g.cod, g.dom, graph)
+        graph[x] = found
+    return MonotoneMap(m.cod, m.dom, graph)
+
+
+def left_adjoint(g: MonotoneMap) -> MonotoneMap | None:
+    """The map f with x <= g(z) iff f(x) <= z, if every x has a best approximant."""
+    return _pointwise(g, best_approximation)
 
 
 def right_adjoint(f: MonotoneMap) -> MonotoneMap | None:
     """The map g with f(x) <= z iff x <= g(z): g(z) is the greatest x with f(x) <= z."""
-    graph = {}
-    for z in f.cod.elements:
-        below = [x for x in f.dom.elements if f.cod.le(f(x), z)]
-        greatest = f.dom.greatest_of(below)
-        if greatest is None:
-            return None
-        graph[z] = greatest
-    return MonotoneMap(f.cod, f.dom, graph)
+    return _pointwise(f, greatest_below)
 
 
 def adjunction_witness(f: MonotoneMap, g: MonotoneMap) -> tuple[Element, Element] | None:
@@ -226,10 +266,11 @@ def adjunction_witness(f: MonotoneMap, g: MonotoneMap) -> tuple[Element, Element
     P, Q = f.dom, f.cod
     if g.dom != Q or g.cod != P:
         raise ValueError("maps do not form a P -> Q / Q -> P pair")
-    for x in P.elements:
-        for z in Q.elements:
-            if P.le(x, g(z)) != Q.le(f(x), z):
-                return (x, z)
+    for i, x in enumerate(P.elements):
+        # the z with x <= g(z) against the z with f(x) <= z
+        differ = g.preimage(P.ups[i]) ^ Q.ups[f.image[i]]
+        if differ:
+            return (x, Q.elements[next(bits(differ))])
     return None
 
 
@@ -242,23 +283,18 @@ def unit_counit_violations(f: MonotoneMap, g: MonotoneMap) -> tuple[str, ...]:
     P, Q = f.dom, f.cod
     if g.dom != Q or g.cod != P:
         raise ValueError("maps do not form a P -> Q / Q -> P pair")
+    laws = (
+        (P, lambda x: P.le(x, g(f(x))), "unit: {0!r} is not below g(f({0!r}))"),
+        (Q, lambda z: Q.le(f(g(z)), z), "counit: f(g({0!r})) is not below {0!r}"),
+        (P, lambda x: f(g(f(x))) == f(x), "f∘g∘f = f fails at {0!r}"),
+        (Q, lambda z: g(f(g(z))) == g(z), "g∘f∘g = g fails at {0!r}"),
+    )
     failed: list[str] = []
-    for x in P.elements:
-        if not P.le(x, g(f(x))):
-            failed.append(f"unit: {x!r} is not below g(f({x!r}))")
-            break
-    for z in Q.elements:
-        if not Q.le(f(g(z)), z):
-            failed.append(f"counit: f(g({z!r})) is not below {z!r}")
-            break
-    for x in P.elements:
-        if f(g(f(x))) != f(x):
-            failed.append(f"f∘g∘f = f fails at {x!r}")
-            break
-    for z in Q.elements:
-        if g(f(g(z))) != g(z):
-            failed.append(f"g∘f∘g = g fails at {z!r}")
-            break
+    for poset, holds, message in laws:
+        for e in poset.elements:
+            if not holds(e):
+                failed.append(message.format(e))
+                break
     return tuple(failed)
 
 
@@ -280,18 +316,14 @@ def verify_adjunction(f: MonotoneMap, g: MonotoneMap) -> AdjunctionCertificate:
     """
     witness = adjunction_witness(f, g)
     law_failures = unit_counit_violations(f, g)
-    if witness is not None:
-        if not law_failures:
-            raise RuntimeError(
-                "equivalence fails but the derived laws hold -- internal bug"
-            )
-        raise AdjunctionFails(
-            f"x <= g(z) iff f(x) <= z fails at (x, z) = {witness!r}",
-            witness=witness,
-        )
-    if law_failures:
+    if (witness is None) != (not law_failures):
         raise RuntimeError(
-            f"equivalence holds but derived laws fail: {law_failures!r} -- internal bug"
+            f"equivalence witness {witness!r} disagrees with law failures "
+            f"{law_failures!r} -- internal bug"
+        )
+    if witness is not None:
+        raise AdjunctionFails(
+            f"x <= g(z) iff f(x) <= z fails at (x, z) = {witness!r}", witness=witness
         )
     return AdjunctionCertificate(
         left=f, right=g, verified_on=len(f.dom.elements) * len(f.cod.elements)
@@ -324,20 +356,15 @@ class FloorCeilingReport:
         return all(row.ok for row in self.rows)
 
 
-def _fraction_label(q: Fraction) -> str:
-    return str(q)
-
-
 def integer_grid_inclusion(k: int, denominator: int) -> MonotoneMap:
     """Inclusion of the integer chain [-k, k] into the 1/denominator grid."""
     if k <= 0 or denominator <= 0:
         raise ValueError("k and denominator must be positive")
-    grid_points = [
-        Fraction(num, denominator) for num in range(-k * denominator, k * denominator + 1)
-    ]
-    grid = FinitePoset.chain([_fraction_label(q) for q in grid_points])
-    ints = FinitePoset.chain([str(n) for n in range(-k, k + 1)])
-    graph = {str(n): _fraction_label(Fraction(n)) for n in range(-k, k + 1)}
+    grid = FinitePoset.chain(
+        str(Fraction(num, denominator)) for num in range(-k * denominator, k * denominator + 1)
+    )
+    ints = FinitePoset.chain(str(n) for n in range(-k, k + 1))
+    graph = {str(n): str(Fraction(n)) for n in range(-k, k + 1)}
     return MonotoneMap(ints, grid, graph)
 
 
@@ -358,14 +385,7 @@ def floor_ceiling_demo(k: int, denominator: int) -> FloorCeilingReport:
     rows = []
     for num in range(-k * denominator, k * denominator + 1):
         q = Fraction(num, denominator)
-        label = _fraction_label(q)
-        rows.append(
-            FloorCeilingRow(
-                point=label,
-                floor=floor_map(label),
-                floor_expected=str(math.floor(q)),
-                ceiling=ceiling_map(label),
-                ceiling_expected=str(math.ceil(q)),
-            )
-        )
+        rows.append(FloorCeilingRow(
+            str(q), floor_map(str(q)), str(math.floor(q)), ceiling_map(str(q)), str(math.ceil(q))
+        ))
     return FloorCeilingReport(k=k, denominator=denominator, rows=tuple(rows))

@@ -3,8 +3,15 @@
 The three images of a function (direct, inverse, universal), the modal
 operator [R] alias weakest precondition with its left adjoint, Boolean and
 Heyting implication, and the exhaustive verifiers for each adjunction
-equivalence.  All subsets are characteristic sets over named universes and
+equivalence.  Subsets of a named universe are characteristic member sets and
 every check runs over ALL subset pairs or triples.
+
+The universal image (the codomain minus the images of the elements outside
+the subset) and ``box`` are one pass over the graph or the pairs: O(|dom| +
+|cod|) and O(|pairs| + |dom|).  Subsets of a poset are the int masks of
+:class:`~fincat.galois.FinitePoset`: S is down-closed when ``downs[i]`` lies
+inside S for each i in S, one AND per member; ``down_sets`` tests all 2^n
+masks, O(2^n·n), and ``heyting_implication`` scans the down-sets, one AND each.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .builders import FiniteFunction, FiniteRelation, NamedFiniteSet
+from .builders import FiniteFunction, FiniteRelation, NamedFiniteSet, subset_label
 from .errors import (
     EnumerationBudgetExceeded,
     NotDownClosed,
@@ -20,7 +27,7 @@ from .errors import (
     UnknownAtom,
 )
 from .formulas import And, Atom, Box, Dia, Formula, Implies, Not, Or
-from .galois import FinitePoset
+from .galois import FinitePoset, bits
 
 #: Universes are named finite sets; the alias keeps the logic-level name.
 Universe = NamedFiniteSet
@@ -83,9 +90,7 @@ def subsets(universe: Universe) -> Iterator[SubsetOf]:
     """All subsets in a fixed order (bitmask over the element order)."""
     elems = universe.elements
     for mask in range(2 ** len(elems)):
-        yield SubsetOf(
-            universe, frozenset(x for i, x in enumerate(elems) if mask & (1 << i))
-        )
+        yield SubsetOf(universe, frozenset(elems[i] for i in bits(mask)))
 
 
 def direct_image(f: FiniteFunction, s: SubsetOf) -> SubsetOf:
@@ -106,12 +111,13 @@ def universal_image(f: FiniteFunction, s: SubsetOf) -> SubsetOf:
     """{ y | every x with f(x) = y lies in s } -- the right adjoint of inverse image."""
     if s.universe != f.dom:
         raise UniverseMismatch("subset is not over the function's domain")
-    members = frozenset(
-        y
-        for y in f.cod.elements
-        if all(x in s.members for x in f.dom.elements if f(x) == y)
-    )
-    return SubsetOf(f.cod, members)
+    missed = {f(x) for x in f.dom.elements if x not in s.members}
+    return SubsetOf(f.cod, frozenset(y for y in f.cod.elements if y not in missed))
+
+
+def _require_cap(cap: int, *universes: Universe) -> None:
+    if any(len(u.elements) > cap for u in universes):
+        raise EnumerationBudgetExceeded(f"universe larger than the cap of {cap} elements")
 
 
 @dataclass(frozen=True)
@@ -126,10 +132,7 @@ class CheckReport:
 def check_quantifier_adjunctions(f: FiniteFunction, cap: int = 4) -> CheckReport:
     """Verify both adjunction equivalences of the image triple over ALL
     subset pairs of the function's universes."""
-    if len(f.dom.elements) > cap or len(f.cod.elements) > cap:
-        raise EnumerationBudgetExceeded(
-            f"universe larger than the cap of {cap} elements"
-        )
+    _require_cap(cap, f.dom, f.cod)
     witnesses: list[str] = []
     checked = 0
     for s in subsets(f.dom):
@@ -160,12 +163,8 @@ def box(r: FiniteRelation, t: SubsetOf) -> SubsetOf:
     """
     if t.universe != r.cod:
         raise UniverseMismatch("target set is not over the relation's codomain")
-    members = frozenset(
-        x
-        for x in r.dom.elements
-        if all(y in t.members for (x2, y) in r.pairs if x2 == x)
-    )
-    return SubsetOf(r.dom, members)
+    escaping = {x for (x, y) in r.pairs if y not in t.members}
+    return SubsetOf(r.dom, frozenset(x for x in r.dom.elements if x not in escaping))
 
 
 #: Program-logic name for the same operator.
@@ -181,10 +180,7 @@ def relation_post_image(r: FiniteRelation, s: SubsetOf) -> SubsetOf:
 
 def check_box_adjunction(r: FiniteRelation, cap: int = 4) -> CheckReport:
     """Verify post-image ⊣ box over ALL subset pairs."""
-    if len(r.dom.elements) > cap or len(r.cod.elements) > cap:
-        raise EnumerationBudgetExceeded(
-            f"universe larger than the cap of {cap} elements"
-        )
+    _require_cap(cap, r.dom, r.cod)
     witnesses: list[str] = []
     checked = 0
     for s in subsets(r.dom):
@@ -253,10 +249,7 @@ def boolean_implication(x: SubsetOf, y: SubsetOf) -> SubsetOf:
 
 def check_implication_adjunction(universe: Universe, cap: int = 4) -> CheckReport:
     """Verify X ∩ Y ⊆ Z iff X ⊆ (Y => Z) for ALL subset triples."""
-    if len(universe.elements) > cap:
-        raise EnumerationBudgetExceeded(
-            f"universe larger than the cap of {cap} elements"
-        )
+    _require_cap(cap, universe)
     witnesses: list[str] = []
     checked = 0
     for x in subsets(universe):
@@ -273,25 +266,23 @@ def check_implication_adjunction(universe: Universe, cap: int = 4) -> CheckRepor
     return CheckReport(ok=not witnesses, checked=checked, witnesses=tuple(witnesses))
 
 
+def _closed(p: FinitePoset, mask: int) -> bool:
+    return all(p.downs[i] | mask == mask for i in bits(mask))
+
+
 def is_down_closed(p: FinitePoset, subset: frozenset) -> bool:
-    return all(
-        x in subset
-        for y in subset
-        for x in p.elements
-        if p.le(x, y)
-    )
+    return _closed(p, p.mask(subset))
+
+
+def _down_set_masks(p: FinitePoset) -> list[int]:
+    closed = [mask for mask in range(1 << len(p.elements)) if _closed(p, mask)]
+    closed.sort(key=lambda mask: (mask.bit_count(), list(bits(mask))))
+    return closed
 
 
 def down_sets(p: FinitePoset) -> tuple[frozenset, ...]:
     """All down-closed subsets, ordered by size then by element order."""
-    order = {x: i for i, x in enumerate(p.elements)}
-    found = [
-        frozenset(x for i, x in enumerate(p.elements) if mask & (1 << i))
-        for mask in range(2 ** len(p.elements))
-    ]
-    closed = [s for s in found if is_down_closed(p, s)]
-    closed.sort(key=lambda s: (len(s), sorted(order[x] for x in s)))
-    return tuple(closed)
+    return tuple(frozenset(p.members(mask)) for mask in _down_set_masks(p))
 
 
 def heyting_implication(p: FinitePoset, x: frozenset, y: frozenset) -> frozenset:
@@ -304,36 +295,23 @@ def heyting_implication(p: FinitePoset, x: frozenset, y: frozenset) -> frozenset
     for name, subset in (("X", x), ("Y", y)):
         if not is_down_closed(p, subset):
             raise NotDownClosed(f"{name} = {sorted(map(str, subset))!r} is not a down-set")
-    candidates = [z for z in down_sets(p) if (z & x) <= y]
-    best = max(candidates, key=len)
-    for z in candidates:
-        if not z <= best:
-            raise RuntimeError(
-                "down-set candidates have no largest member -- internal bug"
-            )
-    return best
-
-
-def subset_label_of(universe: Universe, members: frozenset) -> str:
-    ordered = [str(x) for x in universe.elements if x in members]
-    return "{" + ",".join(ordered) + "}"
+    outside = p.mask(x) & ~p.mask(y)
+    candidates = [z for z in _down_set_masks(p) if not z & outside]
+    best = max(candidates, key=int.bit_count)
+    if any(z & ~best for z in candidates):
+        raise RuntimeError("down-set candidates have no largest member -- internal bug")
+    return frozenset(p.members(best))
 
 
 def powerset_poset(universe: Universe) -> tuple[FinitePoset, dict[str, frozenset]]:
     """The inclusion order on all subsets, with canonical string labels.
 
     Returns the poset and the label -> subset decoding table, so powerset
-    operators can be replayed as monotone maps between posets.
+    operators can be replayed as monotone maps between posets.  Subsets come
+    in mask order, so a ⊆ b is the mask test ``a & ~b == 0``.
     """
-    labelled = [
-        (subset_label_of(universe, s.members), s.members) for s in subsets(universe)
-    ]
-    decode = dict(labelled)
-    elements = tuple(label for label, _ in labelled)
-    leq = frozenset(
-        (la, lb)
-        for la, sa in labelled
-        for lb, sb in labelled
-        if sa <= sb
-    )
-    return FinitePoset(elements, leq), decode
+    labelled = [(subset_label(s.members, universe), s.members) for s in subsets(universe)]
+    labels = tuple(label for label, _ in labelled)
+    everything = range(len(labels))
+    leq = frozenset((labels[a], labels[b]) for a in everything for b in everything if not a & ~b)
+    return FinitePoset(labels, leq), dict(labelled)

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -147,6 +150,31 @@ class TestDeterminism:
         first = invoke(*argv)
         second = invoke(*argv)
         assert first == second
+
+    def test_invalid_poset_witness_ignores_the_hash_seed(self, tmp_path):
+        cyclic = {
+            "elements": ["a", "b", "c", "d", "e"],
+            "leq": [["a", "b"], ["b", "c"], ["c", "a"], ["d", "e"], ["e", "d"]],
+        }
+        gmap = {
+            "dom": cyclic,
+            "cod": {"elements": ["x"], "leq": []},
+            "graph": {x: "x" for x in cyclic["elements"]},
+        }
+        path = tmp_path / "cyclic_gmap.json"
+        path.write_text(json.dumps(gmap))
+        src = str(Path(__file__).parent.parent / "src")
+        runs = []
+        for seed in ("1", "4"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            runs.append(subprocess.run(
+                [sys.executable, "-m", "fincat.cli", "adjoints", str(path)],
+                capture_output=True, env=env, check=False,
+            ))
+        assert [r.returncode for r in runs] == [2, 2]
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stderr == runs[1].stderr
+        assert b"not antisymmetric on 'a', 'b'" in runs[0].stdout
 
 
 class TestGoldenDemos:

@@ -8,6 +8,7 @@ from fincat.builders import (
     build_finset,
     monoid_as_category,
     poset_as_category,
+    subset_label,
 )
 from fincat.errors import NotAFunctor, NotAHomomorphism, NotMonotone, SourceTargetMismatch
 from fincat.functors import (
@@ -21,7 +22,6 @@ from fincat.functors import (
     monotone_as_functor,
     powerset_functor,
     powerset_of,
-    subset_label,
 )
 from fincat.galois import FinitePoset, MonotoneMap
 

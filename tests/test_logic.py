@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fincat.builders import FiniteFunction, FiniteRelation, NamedFiniteSet
+from fincat.builders import FiniteFunction, FiniteRelation, NamedFiniteSet, subset_label
 from fincat.errors import NotDownClosed, UniverseMismatch, UnknownAtom
 from fincat.formulas import parse_formula
 from fincat.galois import FinitePoset, MonotoneMap, verify_adjunction
@@ -23,7 +23,6 @@ from fincat.logic import (
     inverse_image,
     powerset_poset,
     relation_post_image,
-    subset_label_of,
     subsets,
     universal_image,
     wp,
@@ -154,7 +153,7 @@ class TestBoxAndPostImage:
             dom_poset,
             cod_poset,
             {
-                label: subset_label_of(W, relation_post_image(r, SubsetOf(W, members)).members)
+                label: subset_label(relation_post_image(r, SubsetOf(W, members)).members, W)
                 for label, members in dom_decode.items()
             },
         )
@@ -162,7 +161,7 @@ class TestBoxAndPostImage:
             cod_poset,
             dom_poset,
             {
-                label: subset_label_of(W, box(r, SubsetOf(W, members)).members)
+                label: subset_label(box(r, SubsetOf(W, members)).members, W)
                 for label, members in cod_decode.items()
             },
         )

@@ -1,0 +1,151 @@
+"""The bitmask orders and subset operators against the pair-set reference
+(`reference_orders`) on random relations, maps and subsets of at most eight
+elements, cyclic relations included."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import reference_orders as ref
+from fincat.builders import FiniteFunction, FiniteRelation, NamedFiniteSet
+from fincat.errors import InvalidPoset, NotDownClosed, NotMonotone
+from fincat.galois import FinitePoset, MonotoneMap, left_adjoint, right_adjoint
+from fincat.logic import SubsetOf, box, down_sets, heyting_implication, universal_image
+
+
+@st.composite
+def relations(draw, prefix="e", acyclic=False, max_size=8):
+    """Elements and a sparse relation on them; with ``acyclic`` every pair
+    points up the element order, so the closure is a poset."""
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    elements = [f"{prefix}{i}" for i in range(n)]
+    if n == 0:
+        return elements, []
+    index_pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if acyclic:
+        index_pairs = index_pairs.map(sorted)
+    chosen = draw(st.lists(index_pairs, max_size=2 * n))
+    return elements, [(elements[i], elements[j]) for i, j in chosen]
+
+
+def both(build_new, build_ref):
+    """Both results, or the exception type when both sides raise the same one."""
+    try:
+        new = build_new()
+    except InvalidPoset:
+        with pytest.raises(InvalidPoset):
+            build_ref()
+        return None, None
+    return new, build_ref()
+
+
+@given(relations())
+def test_from_relation_agrees_and_rejects_cycles(rel):
+    elements, pairs = rel
+    new, old = both(
+        lambda: FinitePoset.from_relation(elements, pairs),
+        lambda: ref.RefPoset.from_relation(elements, pairs),
+    )
+    if new is not None:
+        assert new.leq == old.leq
+
+
+@given(relations(), st.data())
+def test_constructor_accepts_and_rejects_the_same_tables(rel, data):
+    elements, pairs = rel
+    # an arbitrary table: a sparse relation plus some reflexive pairs
+    reflexive = data.draw(st.lists(st.sampled_from(elements), unique=True)) if elements else []
+    leq = frozenset(pairs) | {(x, x) for x in reflexive}
+    new, old = both(lambda: FinitePoset(tuple(elements), leq), lambda: ref.RefPoset(elements, leq))
+    if new is not None:
+        assert new.leq == old.leq
+
+
+@given(relations(acyclic=True), st.data())
+def test_order_queries_agree(rel, data):
+    elements, pairs = rel
+    new = FinitePoset.from_relation(elements, pairs)
+    old = ref.RefPoset.from_relation(elements, pairs)
+    for x in elements:
+        for y in elements:
+            assert new.le(x, y) == old.le(x, y)
+            assert new.glb(x, y) == old.glb(x, y)
+            assert new.lub(x, y) == old.lub(x, y)
+    subset = data.draw(st.lists(st.sampled_from(elements), unique=True)) if elements else []
+    assert new.least_of(subset) == old.least_of(subset)
+    assert new.greatest_of(subset) == old.greatest_of(subset)
+
+
+@st.composite
+def maps(draw):
+    """Two random posets and a random, not necessarily monotone, graph."""
+    dom_rel = draw(relations("x", acyclic=True, max_size=6).filter(lambda r: r[0]))
+    cod_rel = draw(relations("y", acyclic=True, max_size=6).filter(lambda r: r[0]))
+    graph = {x: draw(st.sampled_from(cod_rel[0])) for x in dom_rel[0]}
+    return dom_rel, cod_rel, graph
+
+
+@given(maps())
+def test_monotone_check_and_adjoints_agree(spec):
+    (dom, dom_pairs), (cod, cod_pairs), graph = spec
+    P, Q = FinitePoset.from_relation(dom, dom_pairs), FinitePoset.from_relation(cod, cod_pairs)
+    RP, RQ = ref.RefPoset.from_relation(dom, dom_pairs), ref.RefPoset.from_relation(cod, cod_pairs)
+    try:
+        m = MonotoneMap(P, Q, graph)
+    except NotMonotone as exc:
+        with pytest.raises(NotMonotone) as expected:
+            ref.monotone_witness(RP, RQ, graph)
+        assert exc.witness == expected.value.witness
+        return
+    ref.monotone_witness(RP, RQ, graph)
+    left, right = left_adjoint(m), right_adjoint(m)
+    assert (left and dict(left.graph)) == ref.left_adjoint(RP, RQ, graph)
+    assert (right and dict(right.graph)) == ref.right_adjoint(RP, RQ, graph)
+
+
+@given(relations(acyclic=True), st.data())
+def test_down_sets_and_heyting_implication_agree(rel, data):
+    elements, pairs = rel
+    new = FinitePoset.from_relation(elements, pairs)
+    old = ref.RefPoset.from_relation(elements, pairs)
+    closed = down_sets(new)
+    assert closed == ref.down_sets(old)
+    x, y = data.draw(st.sampled_from(closed)), data.draw(st.sampled_from(closed))
+    assert heyting_implication(new, x, y) == ref.heyting_implication(old, x, y)
+    stray = data.draw(st.lists(st.sampled_from(elements), unique=True)) if elements else []
+    if not ref.is_down_closed(old, frozenset(stray)):
+        with pytest.raises(NotDownClosed):
+            heyting_implication(new, frozenset(stray), y)
+
+
+def universes(prefix):
+    return st.integers(min_value=1, max_value=8).map(
+        lambda n: NamedFiniteSet(prefix.upper(), tuple(f"{prefix}{i}" for i in range(n)))
+    )
+
+
+def subsets_of(U):
+    return st.lists(st.sampled_from(U.elements), unique=True).map(frozenset)
+
+
+@given(universes("a"), universes("b"), st.data())
+def test_universal_image_agrees(A, B, data):
+    graph = {x: data.draw(st.sampled_from(B.elements)) for x in A.elements}
+    members = data.draw(subsets_of(A))
+    got = universal_image(FiniteFunction(A, B, graph), SubsetOf(A, members))
+    assert got.members == ref.universal_image(A.elements, B.elements, graph, members)
+
+
+@given(universes("a"), universes("b"), st.data())
+def test_box_agrees(A, B, data):
+    pair = st.tuples(st.sampled_from(A.elements), st.sampled_from(B.elements))
+    pairs = data.draw(st.frozensets(pair))
+    members = data.draw(subsets_of(B))
+    got = box(FiniteRelation(A, B, pairs), SubsetOf(B, members))
+    assert got.members == ref.box(A.elements, pairs, members)
+
+
+def test_cycle_witness_is_the_first_in_element_order():
+    with pytest.raises(InvalidPoset, match="antisymmetric on 'a', 'b'"):
+        cycles = [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "d")]
+        FinitePoset.from_relation("abcde", cycles)
