@@ -9,9 +9,11 @@ byte for byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+import operator
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .core import (
     Arrow,
@@ -20,6 +22,7 @@ from .core import (
     DEFAULT_BUDGET,
     FiniteCategory,
     ObjectId,
+    take,
 )
 from .errors import (
     EnumerationBudgetExceeded,
@@ -27,7 +30,7 @@ from .errors import (
     UnknownArrow,
     UnknownObject,
 )
-from .galois import FinitePoset
+from .galois import FinitePoset, bits
 
 
 @dataclass(frozen=True)
@@ -204,13 +207,10 @@ class MatrixOverZp:
         """Ordinary matrix product self · other (self.cols must equal other.rows)."""
         if self.p != other.p or self.cols != other.rows:
             raise ValueError("matrices are not multiplicable")
+        columns = list(zip(*other.entries)) if other.rows else [()] * other.cols
         entries = tuple(
-            tuple(
-                sum(self.entries[i][t] * other.entries[t][j] for t in range(self.cols))
-                % self.p
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
+            tuple(sum(map(operator.mul, row, column)) % self.p for column in columns)
+            for row in self.entries
         )
         return MatrixOverZp(self.p, self.rows, other.cols, entries)
 
@@ -291,13 +291,23 @@ class FinRelCategory(_WrappedCategory):
             raise UnknownArrow(f"unknown arrow {f!r}") from None
 
 
-def build_finset(
-    sets: Iterable[NamedFiniteSet], cap: int = 4, budget: int = DEFAULT_BUDGET
-) -> FinSetCategory:
-    """Category with the given sets as objects and ALL functions as arrows.
+def _all_arrows(
+    sets: Iterable[NamedFiniteSet],
+    cap: int,
+    budget: int,
+    kind: str,
+    count: Callable[[int, int], int],
+    hom: Callable[[NamedFiniteSet, NamedFiniteSet], dict],
+    identity: Callable[[NamedFiniteSet], Hashable],
+    after: Callable[[Hashable], Callable[[Hashable], Hashable]],
+) -> tuple[tuple[NamedFiniteSet, ...], FiniteCategory]:
+    """The category with the given sets as objects and every arrow of a kind.
 
-    Hom-set sizes grow as |Y| ** |X|, so each set is capped (default 4) and
-    the total arrow count must stay within the budget.
+    ``count(|X|, |Y|)`` is the size of hom(X, Y), checked against the budget
+    before anything is built; ``hom(X, Y)`` maps the key of each arrow X -> Y
+    to its name, in hom order; ``identity(S)`` is the key of the identity of
+    S; and ``after(f)(g)`` is the key of "f then g", which lands in the hom
+    from dom f to cod g.  Each name is rendered once, by ``hom``.
     """
     sets = tuple(sets)
     if len(set(s.name for s in sets)) != len(sets):
@@ -307,35 +317,54 @@ def build_finset(
             raise EnumerationBudgetExceeded(
                 f"set {s.name!r} has {len(s.elements)} elements, cap is {cap}"
             )
-    total = sum(
-        len(cod.elements) ** len(dom.elements) for dom in sets for cod in sets
-    )
+    total = sum(count(len(x.elements), len(y.elements)) for x in sets for y in sets)
     if total > budget:
-        raise EnumerationBudgetExceeded(
-            f"{total} functions exceed the budget of {budget}"
-        )
+        raise EnumerationBudgetExceeded(f"{total} {kind} exceed the budget of {budget}")
 
-    functions: dict[ArrowId, FiniteFunction] = {}
-    arrows: list[Arrow] = []
-    for dom in sets:
-        for cod in sets:
-            for images in itertools.product(cod.elements, repeat=len(dom.elements)):
-                fn = FiniteFunction(dom, cod, dict(zip(dom.elements, images)))
-                name = _function_arrow_name(fn)
-                functions[name] = fn
-                arrows.append(Arrow(name, dom.name, cod.name))
-    identities = {
-        s.name: _function_arrow_name(FiniteFunction.identity(s)) for s in sets
-    }
+    homs = {(x.name, y.name): hom(x, y) for x in sets for y in sets}
+    arrows = [
+        Arrow(name, x.name, y.name)
+        for x in sets
+        for y in sets
+        for name in homs[(x.name, y.name)].values()
+    ]
+    identities = {s.name: homs[(s.name, s.name)][identity(s)] for s in sets}
     composition: dict[tuple[ArrowId, ArrowId], ArrowId] = {}
-    for f_name, f in functions.items():
-        for g_name, g in functions.items():
-            if f.cod == g.dom:
-                composition[(g_name, f_name)] = _function_arrow_name(
-                    compose_functions(g, f)
-                )
-    category = FiniteCategory(
-        tuple(s.name for s in sets), tuple(arrows), identities, composition
+    for x in sets:
+        for y in sets:
+            for f, f_name in homs[(x.name, y.name)].items():
+                after_f = after(f)
+                for z in sets:
+                    hom_xz = homs[(x.name, z.name)]
+                    for g, g_name in homs[(y.name, z.name)].items():
+                        composition[(g_name, f_name)] = hom_xz[after_f(g)]
+    names = tuple(s.name for s in sets)
+    return sets, FiniteCategory(names, tuple(arrows), identities, composition)
+
+
+def build_finset(
+    sets: Iterable[NamedFiniteSet], cap: int = 4, budget: int = DEFAULT_BUDGET
+) -> FinSetCategory:
+    """Category with the given sets as objects and ALL functions as arrows.
+
+    Hom-set sizes grow as |Y| ** |X|, so each set is capped (default 4) and
+    the total arrow count must stay within the budget.  A function is keyed
+    by its tuple of image positions, so a composite is a tuple lookup.
+    """
+    functions: dict[ArrowId, FiniteFunction] = {}
+
+    def hom(dom: NamedFiniteSet, cod: NamedFiniteSet) -> dict:
+        names = {}
+        for images in itertools.product(range(len(cod.elements)), repeat=len(dom.elements)):
+            graph = {x: cod.elements[i] for x, i in zip(dom.elements, images)}
+            fn = FiniteFunction(dom, cod, graph)
+            names[images] = _function_arrow_name(fn)
+            functions[names[images]] = fn
+        return names
+
+    sets, category = _all_arrows(
+        sets, cap, budget, "functions", lambda x, y: y ** x, hom,
+        lambda s: tuple(range(len(s.elements))), take,
     )
     return FinSetCategory(category, {s.name: s for s in sets}, functions)
 
@@ -347,48 +376,32 @@ def build_finrel(
 
     A hom-set has 2 ** (|X|·|Y|) relations, so the default cap is tight.
     Composition is the usual relational composite; identities are diagonals.
+    A relation X -> Y is keyed by its rows, one mask of related elements of
+    Y per element of X, and hom(X, Y) lists them in the order of the mask
+    whose bit ``i·|Y| + j`` relates the i-th element of X to the j-th of Y.
     """
-    sets = tuple(sets)
-    if len(set(s.name for s in sets)) != len(sets):
-        raise ValueError("duplicate set names")
-    for s in sets:
-        if len(s.elements) > cap:
-            raise EnumerationBudgetExceeded(
-                f"set {s.name!r} has {len(s.elements)} elements, cap is {cap}"
-            )
-    total = sum(
-        2 ** (len(dom.elements) * len(cod.elements)) for dom in sets for cod in sets
-    )
-    if total > budget:
-        raise EnumerationBudgetExceeded(
-            f"{total} relations exceed the budget of {budget}"
+    relations: dict[ArrowId, FiniteRelation] = {}
+
+    def hom(dom: NamedFiniteSet, cod: NamedFiniteSet) -> dict:
+        names = {}
+        width = len(cod.elements)
+        all_pairs = [(x, y) for x in dom.elements for y in cod.elements]
+        for mask in range(2 ** len(all_pairs)):
+            rel = FiniteRelation(dom, cod, frozenset(p for i, p in enumerate(all_pairs) if mask >> i & 1))
+            rows = tuple(mask >> (i * width) & ((1 << width) - 1) for i in range(len(dom.elements)))
+            names[rows] = _relation_arrow_name(rel)
+            relations[names[rows]] = rel
+        return names
+
+    def after(r_rows: tuple[int, ...]):
+        # row i of "r then s" is the union of the rows of s that row i of r picks
+        return lambda s_rows: tuple(
+            functools.reduce(operator.or_, map(s_rows.__getitem__, bits(row)), 0) for row in r_rows
         )
 
-    relations: dict[ArrowId, FiniteRelation] = {}
-    arrows: list[Arrow] = []
-    for dom in sets:
-        for cod in sets:
-            all_pairs = [(x, y) for x in dom.elements for y in cod.elements]
-            for mask in range(2 ** len(all_pairs)):
-                chosen = frozenset(
-                    p for i, p in enumerate(all_pairs) if mask & (1 << i)
-                )
-                rel = FiniteRelation(dom, cod, chosen)
-                name = _relation_arrow_name(rel)
-                relations[name] = rel
-                arrows.append(Arrow(name, dom.name, cod.name))
-    identities = {
-        s.name: _relation_arrow_name(FiniteRelation.diagonal(s)) for s in sets
-    }
-    composition: dict[tuple[ArrowId, ArrowId], ArrowId] = {}
-    for r_name, r in relations.items():
-        for s_name, s in relations.items():
-            if r.cod == s.dom:
-                composition[(s_name, r_name)] = _relation_arrow_name(
-                    compose_relations(s, r)
-                )
-    category = FiniteCategory(
-        tuple(s.name for s in sets), tuple(arrows), identities, composition
+    sets, category = _all_arrows(
+        sets, cap, budget, "relations", lambda x, y: 2 ** (x * y), hom,
+        lambda s: tuple(1 << i for i in range(len(s.elements))), after,
     )
     return FinRelCategory(category, {s.name: s for s in sets}, relations)
 
@@ -400,20 +413,23 @@ def poset_arrow_name(a: str, b: str) -> str:
 def poset_as_category(P: FinitePoset) -> FiniteCategory:
     """Thin category: exactly one arrow a -> b when a <= b.
 
-    Identities come from reflexivity, composition from transitivity.
+    Identities come from reflexivity, composition from transitivity: the
+    composite of a <= b and b <= c is the arrow a <= c out of a.
     """
-    arrows = [
-        Arrow(poset_arrow_name(a, b), a, b)
-        for a in P.elements
-        for b in P.elements
-        if P.le(a, b)
-    ]
-    identities = {a: poset_arrow_name(a, a) for a in P.elements}
+    out: dict[str, dict[str, ArrowId]] = {}
+    arrows = []
+    for a, ups in zip(P.elements, P.ups):
+        out[a] = {}
+        for j in bits(ups):
+            b = P.elements[j]
+            out[a][b] = poset_arrow_name(a, b)
+            arrows.append(Arrow(out[a][b], a, b))
+    identities = {a: out[a][a] for a in P.elements}
     composition = {}
     for f in arrows:
-        for g in arrows:
-            if f.cod == g.dom:
-                composition[(g.name, f.name)] = poset_arrow_name(f.dom, g.cod)
+        from_dom = out[f.dom]
+        for c, g in out[f.cod].items():
+            composition[(g, f.name)] = from_dom[c]
     return FiniteCategory(tuple(P.elements), tuple(arrows), identities, composition)
 
 
@@ -459,10 +475,15 @@ class MatCategory(CategoryView):
     Objects are the dimensions 0..max_dim (as strings); hom(n, m) lists every
     n x m matrix mod p in lexicographic entry order.  The composite of
     M : n -> m followed by N : m -> k is the n x k matrix product M·N.
+    Each hom-set is enumerated once, and each arrow name parsed once: the
+    view keeps the matrix of every name it has enumerated, composed or
+    parsed.
     """
 
     p: int
     max_dim: int
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _homs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def objects(self) -> tuple[ObjectId, ...]:
@@ -479,6 +500,9 @@ class MatCategory(CategoryView):
 
     def matrix(self, f: ArrowId) -> MatrixOverZp:
         """Parse an arrow name back into its matrix."""
+        known = self._matrices.get(f)
+        if known is not None:
+            return known
         try:
             dims, rest = f.split("[", 1)
             rows_s, cols_s = dims.split("x")
@@ -501,15 +525,20 @@ class MatCategory(CategoryView):
             raise UnknownArrow(f"unknown arrow {f!r}") from None
         if rows > self.max_dim or cols > self.max_dim:
             raise UnknownArrow(f"arrow {f!r} exceeds dimension {self.max_dim}")
+        self._matrices[f] = m
         return m
 
     def hom(self, a: ObjectId, b: ObjectId) -> tuple[ArrowId, ...]:
         n, m = self._dim(a), self._dim(b)
-        names = []
-        for flat in itertools.product(range(self.p), repeat=n * m):
-            entries = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
-            names.append(_matrix_name(MatrixOverZp(self.p, n, m, entries)))
-        return tuple(names)
+        if (n, m) not in self._homs:
+            names = []
+            for flat in itertools.product(range(self.p), repeat=n * m):
+                entries = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
+                matrix = MatrixOverZp(self.p, n, m, entries)
+                names.append(_matrix_name(matrix))
+                self._matrices[names[-1]] = matrix
+            self._homs[(n, m)] = tuple(names)
+        return self._homs[(n, m)]
 
     def dom(self, f: ArrowId) -> ObjectId:
         return str(self.matrix(f).rows)
@@ -522,7 +551,10 @@ class MatCategory(CategoryView):
         mg = self.matrix(g)
         if mf.cols != mg.rows:
             raise ValueError(f"arrows not composable: {f!r} then {g!r}")
-        return _matrix_name(mf.multiply(mg))
+        product = mf.multiply(mg)
+        name = _matrix_name(product)
+        self._matrices.setdefault(name, product)
+        return name
 
     def identity(self, a: ObjectId) -> ArrowId:
         return _matrix_name(MatrixOverZp.identity(self.p, self._dim(a)))

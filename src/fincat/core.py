@@ -1,17 +1,29 @@
 """Finite categories as explicit tables, plus the arrow-theoretic predicates.
 
-Objects and arrows are identified by name strings; equality of arrows is
-equality of names.  Composition is stored as a total table over composable
-pairs, and ``compose(g, f)`` always reads "f then g".  Every decision
-procedure here works by exhaustive enumeration of the relevant hom-sets,
-guarded by an arrow-count budget so lazily enumerated categories cannot
-blow up silently.
+Objects and arrows are identified by name strings at the boundary; equality
+of arrows is equality of names.  Composition is stored as a table over
+composable pairs, and ``compose(g, f)`` always reads "f then g".
+
+The deciders -- :func:`validate` here, products, the natural-numbers search
+and functoriality elsewhere -- work on the category's :class:`Kernel`, dense
+integer tables in the style of Rydeheard and Burstall's *Computational
+Category Theory* (1988).  Arrow ids follow ``arrows`` order; each object
+lists the arrows into and out of it; and each arrow g keeps its
+postcomposition row, the id of g∘f for every f into dom g.  Composing is
+then two list lookups, and associativity is the row identity
+``row(h∘g) == row(h)∘row(g)``.  The kernel is derived on first use and
+cached, so a malformed table still constructs; deriving it checks the
+structure (dangling ids, a partial or overfull compose table) and raises
+:class:`MalformedTable` at the first problem.  The arrow predicates stay
+generic over :class:`CategoryView`, guarded by an arrow-count budget so
+lazily enumerated categories cannot blow up silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -82,7 +94,9 @@ class FiniteCategory(CategoryView):
     ``identities`` maps each object to its identity arrow; ``composition``
     maps every composable pair ``(g, f)`` (meaning "f then g") to the name
     of the composite.  The constructor only requires names to be distinct;
-    :func:`validate` checks everything else.
+    :func:`validate` checks everything else.  The deciders read the
+    :meth:`kernel` derived from the tables at their first use, so the
+    tables must not be changed after that.
     """
 
     objects: tuple[ObjectId, ...]
@@ -148,6 +162,15 @@ class FiniteCategory(CategoryView):
     def all_arrows(self) -> Iterator[ArrowId]:
         return iter(arr.name for arr in self.arrows)
 
+    def kernel(self) -> "Kernel":
+        """The dense-id tables, derived on first use and cached."""
+        try:
+            return self._kernel
+        except AttributeError:
+            kernel = Kernel(self)
+            object.__setattr__(self, "_kernel", kernel)
+            return kernel
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -170,38 +193,109 @@ class AxiomReport:
         return cls(ok=not violations, violations=tuple(violations))
 
 
-def _check_structure(C: FiniteCategory) -> None:
-    """Raise MalformedTable on dangling ids or a partial/overfull compose table."""
-    objects = frozenset(C.objects)
-    names = frozenset(arr.name for arr in C.arrows)
-    for arr in C.arrows:
-        if arr.dom not in objects:
-            raise MalformedTable(f"arrow {arr.name!r} has unknown domain {arr.dom!r}")
-        if arr.cod not in objects:
-            raise MalformedTable(f"arrow {arr.name!r} has unknown codomain {arr.cod!r}")
-    for a in C.objects:
-        if a not in C.identities:
-            raise MalformedTable(f"identity table has no entry for object {a!r}")
-        if C.identities[a] not in names:
-            raise MalformedTable(
-                f"identity of {a!r} is the unknown arrow {C.identities[a]!r}"
-            )
-    for extra in set(C.identities) - objects:
-        raise MalformedTable(f"identity table mentions unknown object {extra!r}")
-    for (g, f), h in C.composition.items():
-        for name in (g, f, h):
-            if name not in names:
-                raise MalformedTable(f"compose table mentions unknown arrow {name!r}")
-        if C.arrow(f).cod != C.arrow(g).dom:
-            raise MalformedTable(
-                f"compose table has an entry for the non-composable pair ({g!r}, {f!r})"
-            )
-    for f in C.arrows:
-        for g in C.arrows:
-            if f.cod == g.dom and (g.name, f.name) not in C.composition:
+def take(positions: list[int]) -> Callable[[tuple], tuple]:
+    """The function picking ``positions`` out of a tuple, as a tuple."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (only,) = positions
+        return lambda row: (row[only],)
+    return lambda row: ()
+
+
+class Kernel:
+    """Dense-id tables of a :class:`FiniteCategory`.
+
+    Arrow i is ``arrows[i]`` and object k is ``objects[k]``; ``dom`` and
+    ``cod`` give object ids.  ``into[k]`` and ``out[k]`` list the arrows
+    into and out of object k in arrow order, and ``pos[f]`` is f's index in
+    ``into[cod f]``.  ``rows[g][pos[f]]`` is the id of g∘f: the row of g is
+    its action by postcomposition on the arrows into its domain.
+
+    Construction raises :class:`MalformedTable` at the first dangling id,
+    missing or unknown identity, non-composable entry or missing entry.
+    Typing and the laws are left to :func:`validate`.
+    """
+
+    __slots__ = ("objects", "object_ids", "names", "ids", "dom", "cod", "into", "out", "pos", "rows", "identity", "_hom")
+
+    def __init__(self, C: FiniteCategory):
+        objects = C.objects
+        obj_ids = {a: k for k, a in enumerate(objects)}
+        names = tuple(arr.name for arr in C.arrows)
+        ids = {f: i for i, f in enumerate(names)}
+        dom, cod = [], []
+        for arr in C.arrows:
+            if arr.dom not in obj_ids:
+                raise MalformedTable(f"arrow {arr.name!r} has unknown domain {arr.dom!r}")
+            if arr.cod not in obj_ids:
+                raise MalformedTable(f"arrow {arr.name!r} has unknown codomain {arr.cod!r}")
+            dom.append(obj_ids[arr.dom])
+            cod.append(obj_ids[arr.cod])
+        identity = []
+        for a in objects:
+            if a not in C.identities:
+                raise MalformedTable(f"identity table has no entry for object {a!r}")
+            if C.identities[a] not in ids:
                 raise MalformedTable(
-                    f"compose table is partial: missing entry for ({g.name!r}, {f.name!r})"
+                    f"identity of {a!r} is the unknown arrow {C.identities[a]!r}"
                 )
+            identity.append(ids[C.identities[a]])
+        for extra in C.identities:
+            if extra not in obj_ids:
+                raise MalformedTable(f"identity table mentions unknown object {extra!r}")
+
+        into: list[list[int]] = [[] for _ in objects]
+        out: list[list[int]] = [[] for _ in objects]
+        pos = []
+        for i in range(len(names)):
+            pos.append(len(into[cod[i]]))
+            into[cod[i]].append(i)
+            out[dom[i]].append(i)
+
+        rows: list[list] = [[None] * len(into[d]) for d in dom]
+        for (g, f), h in C.composition.items():
+            gi, fi, hi = ids.get(g), ids.get(f), ids.get(h)
+            if gi is None or fi is None or hi is None:
+                unknown = next(x for x in (g, f, h) if x not in ids)
+                raise MalformedTable(f"compose table mentions unknown arrow {unknown!r}")
+            if cod[fi] != dom[gi]:
+                raise MalformedTable(
+                    f"compose table has an entry for the non-composable pair ({g!r}, {f!r})"
+                )
+            rows[gi][pos[fi]] = hi
+        if len(C.composition) != sum(len(i) * len(o) for i, o in zip(into, out)):
+            for fi in range(len(names)):
+                for gi in out[cod[fi]]:
+                    if rows[gi][pos[fi]] is None:
+                        raise MalformedTable(
+                            "compose table is partial: missing entry for "
+                            f"({names[gi]!r}, {names[fi]!r})"
+                        )
+
+        self.objects = objects
+        self.object_ids = obj_ids
+        self.names = names
+        self.ids = ids
+        self.dom = dom
+        self.cod = cod
+        self.into = into
+        self.out = out
+        self.pos = pos
+        self.rows = [tuple(row) for row in rows]
+        self.identity = identity
+        self._hom = {k: tuple(map(ids.__getitem__, v)) for k, v in C._hom.items()}
+
+    def hom(self, a: ObjectId, b: ObjectId) -> tuple[int, ...]:
+        """Ids of the arrows a -> b, in arrow order."""
+        for x in (a, b):
+            if x not in self.object_ids:
+                raise UnknownObject(f"unknown object {x!r}")
+        return self._hom.get((a, b), ())
+
+    def compose(self, g: int, f: int) -> int | None:
+        """The id of g∘f, or None when cod f is not dom g."""
+        return self.rows[g][self.pos[f]] if self.cod[f] == self.dom[g] else None
 
 
 def validate(C: FiniteCategory) -> AxiomReport:
@@ -209,78 +303,89 @@ def validate(C: FiniteCategory) -> AxiomReport:
 
     Structural problems (dangling ids, a partial compose table) raise
     :class:`MalformedTable`; law violations -- identity typing, composite
-    typing, units, associativity -- are all collected into the report.
+    typing, units, associativity -- are all collected into the report, each
+    kind in the order of its witnesses' positions in ``arrows``.
     """
-    _check_structure(C)
+    K = C.kernel()
+    names, objects = K.names, K.objects
+    dom, cod, into, out, pos, rows = K.dom, K.cod, K.into, K.out, K.pos, K.rows
     violations: list[Violation] = []
 
-    for a in C.objects:
-        ia = C.arrow(C.identities[a])
-        if ia.dom != a or ia.cod != a:
+    for a, i in enumerate(K.identity):
+        if dom[i] != a or cod[i] != a:
             violations.append(
                 Violation(
                     "identity-typing",
-                    (ia.name,),
-                    f"identity of {a!r} is typed {ia.dom!r}->{ia.cod!r}",
+                    (names[i],),
+                    f"identity of {objects[a]!r} is typed {objects[dom[i]]!r}->{objects[cod[i]]!r}",
                 )
             )
 
-    comp = C.composition
-    for f in C.arrows:
-        for g in C.arrows:
-            if f.cod != g.dom:
-                continue
-            h = C.arrow(comp[(g.name, f.name)])
-            if h.dom != f.dom or h.cod != g.cod:
-                violations.append(
-                    Violation(
-                        "composite-typing",
-                        (g.name, f.name),
-                        f"{g.name!r} after {f.name!r} is {h.name!r}, typed "
-                        f"{h.dom!r}->{h.cod!r} instead of {f.dom!r}->{g.cod!r}",
-                    )
-                )
+    # g∘f is well typed when its domains, read along the row of g, are those
+    # of the arrows into dom g and its codomains are all cod g.
+    in_doms = [[dom[f] for f in fs] for fs in into]
+    mistyped = []
+    ends_at_cod = []
+    for g, row in enumerate(rows):
+        ends = list(map(cod.__getitem__, row)).count(cod[g]) == len(row)
+        ends_at_cod.append(ends)
+        if not ends or list(map(dom.__getitem__, row)) != in_doms[dom[g]]:
+            for f, h in zip(into[dom[g]], row):
+                if dom[h] != dom[f] or cod[h] != cod[g]:
+                    mistyped.append((f, g))
+    for f, g in sorted(mistyped):
+        h = rows[g][pos[f]]
+        violations.append(
+            Violation(
+                "composite-typing",
+                (names[g], names[f]),
+                f"{names[g]!r} after {names[f]!r} is {names[h]!r}, typed "
+                f"{objects[dom[h]]!r}->{objects[cod[h]]!r} instead of "
+                f"{objects[dom[f]]!r}->{objects[cod[g]]!r}",
+            )
+        )
 
-    for f in C.arrows:
-        left = comp[(C.identities[f.cod], f.name)]
-        if left != f.name:
+    for f in range(len(names)):
+        left = K.compose(K.identity[cod[f]], f)
+        if left != f:
             violations.append(
-                Violation(
-                    "left-unit",
-                    (f.name,),
-                    f"id after {f.name!r} is {left!r}",
-                )
+                Violation("left-unit", (names[f],), f"id after {names[f]!r} is {_name(names, left)!r}")
             )
-        right = comp[(f.name, C.identities[f.dom])]
-        if right != f.name:
+        right = K.compose(f, K.identity[dom[f]])
+        if right != f:
             violations.append(
-                Violation(
-                    "right-unit",
-                    (f.name,),
-                    f"{f.name!r} after id is {right!r}",
-                )
+                Violation("right-unit", (names[f],), f"{names[f]!r} after id is {_name(names, right)!r}")
             )
 
-    for f in C.arrows:
-        for g in C.arrows:
-            if f.cod != g.dom:
-                continue
-            gf = comp[(g.name, f.name)]
-            for h in C.arrows:
-                if g.cod != h.dom:
+    # For each composable g, h: h∘(g∘f) and (h∘g)∘f over all f into dom g.
+    # When every g∘f ends at cod g and h∘g starts at dom g, the two sides are
+    # row(h) read at the positions of row(g), and row(h∘g); otherwise each
+    # side is composed entry by entry and a non-composable one is None.
+    broken = []
+    for g, row in enumerate(rows):
+        after_g = take([pos[x] for x in row]) if ends_at_cod[g] else None
+        for h in out[cod[g]]:
+            hg = rows[h][pos[g]]
+            if after_g is not None and dom[hg] == dom[g]:
+                if after_g(rows[h]) == rows[hg]:
                     continue
-                hg = comp[(h.name, g.name)]
-                lhs = comp.get((h.name, gf))
-                rhs = comp.get((hg, f.name))
+            for f, gf in zip(into[dom[g]], row):
+                lhs, rhs = K.compose(h, gf), K.compose(hg, f)
                 if lhs is None or rhs is None or lhs != rhs:
-                    violations.append(
-                        Violation(
-                            "associativity",
-                            (h.name, g.name, f.name),
-                            f"h∘(g∘f) = {lhs!r} but (h∘g)∘f = {rhs!r}",
-                        )
-                    )
+                    broken.append((f, g, h, lhs, rhs))
+    for f, g, h, lhs, rhs in sorted(broken, key=lambda v: v[:3]):
+        violations.append(
+            Violation(
+                "associativity",
+                (names[h], names[g], names[f]),
+                f"h∘(g∘f) = {_name(names, lhs)!r} but (h∘g)∘f = {_name(names, rhs)!r}",
+            )
+        )
     return AxiomReport.from_violations(violations)
+
+
+def _name(names: tuple[ArrowId, ...], i: int | None) -> ArrowId | None:
+    return None if i is None else names[i]
 
 
 class _Budget:
@@ -392,9 +497,11 @@ def materialize(view: CategoryView, budget: int = DEFAULT_BUDGET) -> FiniteCateg
             meter.charge(len(names))
             arrows.extend(Arrow(n, a, b) for n in names)
     identities = {a: view.identity(a) for a in objs}
+    out: dict[ObjectId, list[ArrowId]] = {a: [] for a in objs}
+    for arr in arrows:
+        out[arr.dom].append(arr.name)
     composition: dict[tuple[ArrowId, ArrowId], ArrowId] = {}
     for f in arrows:
-        for g in arrows:
-            if f.cod == g.dom:
-                composition[(g.name, f.name)] = view.compose(g.name, f.name)
+        for g in out[f.cod]:
+            composition[(g, f.name)] = view.compose(g, f.name)
     return FiniteCategory(objs, tuple(arrows), identities, composition)

@@ -169,17 +169,7 @@ def satisfies(m: FOStructure, formula: Formula, assignment: tuple) -> bool:
     """
     context = len(assignment)
     if isinstance(formula, Atom):
-        rel = m.relation(formula.name)
-        if len(formula.args) != rel.arity:
-            raise UnknownAtom(
-                f"relation {formula.name!r} has arity {rel.arity}, "
-                f"atom supplies {len(formula.args)} arguments"
-            )
-        for index in formula.args:
-            if index > context:
-                raise ContextOverflow(
-                    f"variable v{index} exceeds context of size {context}"
-                )
+        rel = _atom_relation(m, formula, context)
         return tuple(assignment[i - 1] for i in formula.args) in rel.tuples
     if isinstance(formula, Not):
         return not satisfies(m, formula.body, assignment)
@@ -210,6 +200,22 @@ def satisfies(m: FOStructure, formula: Formula, assignment: tuple) -> bool:
     raise UnknownAtom(f"modal operators have no first-order reading: {formula!r}")
 
 
+def _atom_relation(m: FOStructure, atom: Atom, context: int) -> FORelation:
+    """The relation an atom names, once its arity and variables fit the context."""
+    rel = m.relation(atom.name)
+    if len(atom.args) != rel.arity:
+        raise UnknownAtom(
+            f"relation {atom.name!r} has arity {rel.arity}, "
+            f"atom supplies {len(atom.args)} arguments"
+        )
+    for index in atom.args:
+        if index > context:
+            raise ContextOverflow(
+                f"variable v{index} exceeds context of size {context}"
+            )
+    return rel
+
+
 def _require_binds_next(var: int, context: int) -> None:
     if var != context + 1:
         raise ContextOverflow(
@@ -234,17 +240,7 @@ def tarski_denotation(
             f"{len(universe_tuples)} assignment tuples exceed the budget of {budget}"
         )
     if isinstance(formula, Atom):
-        rel = m.relation(formula.name)
-        if len(formula.args) != rel.arity:
-            raise UnknownAtom(
-                f"relation {formula.name!r} has arity {rel.arity}, "
-                f"atom supplies {len(formula.args)} arguments"
-            )
-        for index in formula.args:
-            if index > context:
-                raise ContextOverflow(
-                    f"variable v{index} exceeds context of size {context}"
-                )
+        rel = _atom_relation(m, formula, context)
         members = frozenset(
             t
             for t in universe_tuples

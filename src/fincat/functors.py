@@ -66,8 +66,10 @@ class Functor:
 def check_functoriality(F: Functor) -> AxiomReport:
     """Exhaustively verify typing, identity and composition preservation.
 
-    Missing table entries or dangling ids raise MalformedMap; every law
-    violation is reported with its witnessing arrows.
+    Missing map entries or dangling ids raise MalformedMap, and a malformed
+    source or target table raises MalformedTable; every law violation is
+    reported with its witnessing arrows.  Composition is checked on the
+    composable pairs of the source only, reading composites off the rows.
     """
     src, tgt = F.source, F.target
     tgt_objects = frozenset(tgt.objects)
@@ -87,6 +89,7 @@ def check_functoriality(F: Functor) -> AxiomReport:
                 f"arrow map sends {f!r} to unknown arrow {F.arrow_map[f]!r}"
             )
 
+    S, T = src.kernel(), tgt.kernel()
     violations: list[Violation] = []
     for arr in src.arrows:
         image = F.arrow_map[arr.name]
@@ -112,21 +115,19 @@ def check_functoriality(F: Functor) -> AxiomReport:
                     f"identity of {a!r} maps to {image!r}, expected {expected!r}",
                 )
             )
-    for f in src.arrows:
-        for g in src.arrows:
-            if f.cod != g.dom:
-                continue
-            lhs = F.arrow_map[src.compose(g.name, f.name)]
-            try:
-                rhs = tgt.compose(F.arrow_map[g.name], F.arrow_map[f.name])
-            except ValueError:
-                rhs = None
+    image_of = [T.ids[F.arrow_map[f]] for f in S.names]
+    for f, Ff in enumerate(image_of):
+        at_f = S.pos[f]
+        for g in S.out[S.cod[f]]:
+            lhs = image_of[S.rows[g][at_f]]
+            rhs = T.compose(image_of[g], Ff)
             if lhs != rhs:
                 violations.append(
                     Violation(
                         "composition-preservation",
-                        (g.name, f.name),
-                        f"F(g∘f) = {lhs!r} but F(g)∘F(f) = {rhs!r}",
+                        (S.names[g], S.names[f]),
+                        f"F(g∘f) = {T.names[lhs]!r} but F(g)∘F(f) = "
+                        f"{None if rhs is None else T.names[rhs]!r}",
                     )
                 )
     return AxiomReport.from_violations(violations)

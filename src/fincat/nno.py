@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .builders import NamedFiniteSet
-from .core import ArrowId, FiniteCategory, ObjectId
+from .core import ArrowId, FiniteCategory, Kernel, ObjectId
 from .errors import BoundExceeded
 from .universal import find_terminals
 
@@ -145,6 +145,7 @@ def nno_search(C: FiniteCategory) -> NnoSearchResult:
     itself, which is exactly why tiny categories can admit degenerate
     winners while any category with a two-element object refutes them all.
     """
+    K = C.kernel()
     terminals = find_terminals(C)
     if not terminals:
         return NnoSearchResult((), note="no terminal object")
@@ -152,25 +153,30 @@ def nno_search(C: FiniteCategory) -> NnoSearchResult:
     recursion_data = [
         (a, c, f)
         for a in C.objects
-        for c in C.hom(one, a)
-        for f in C.hom(a, a)
+        for c in K.hom(one, a)
+        for f in K.hom(a, a)
     ]
     winners = []
     for n in C.objects:
-        hom_one_n = C.hom(one, n)
-        hom_n_n = C.hom(n, n)
+        hom_one_n = K.hom(one, n)
+        hom_n_n = K.hom(n, n)
         for z in hom_one_n:
             for s in hom_n_n:
-                if _mediates_uniquely(C, one, n, z, s, recursion_data):
-                    winners.append((n, z, s))
+                if _mediates_uniquely(K, n, z, s, recursion_data):
+                    winners.append((n, K.names[z], K.names[s]))
     return NnoSearchResult(tuple(winners))
 
 
-def _mediates_uniquely(C, one, n, z, s, recursion_data) -> bool:
+def _mediates_uniquely(K: Kernel, n: ObjectId, z: int, s: int, recursion_data) -> bool:
+    """Exactly one h : n -> a with h∘z = c and h∘s = f∘h, for every (a, c, f)."""
+    rows, pos = K.rows, K.pos
+    at_z, at_s = pos[z], pos[s]
     for a, c, f in recursion_data:
+        row_f = rows[f]
         count = 0
-        for h in C.hom(n, a):
-            if C.compose(h, z) == c and C.compose(h, s) == C.compose(f, h):
+        for h in K.hom(n, a):
+            row_h = rows[h]
+            if row_h[at_z] == c and row_h[at_s] == row_f[pos[h]]:
                 count += 1
                 if count > 1:
                     return False

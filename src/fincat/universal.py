@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import ArrowId, CategoryView, FiniteCategory, ObjectId
+from .core import ArrowId, FiniteCategory, Kernel, ObjectId
 from .errors import NotAProduct, NotTerminal
 
 
@@ -89,24 +89,27 @@ def terminal_iso_certificate(
 
 
 def _universal_mediators(
-    C: CategoryView, a: ObjectId, b: ObjectId, apex: ObjectId, p1: ArrowId, p2: ArrowId
+    K: Kernel, a: ObjectId, b: ObjectId, apex: ObjectId, p1: int, p2: int
 ) -> dict[Cone, ArrowId] | None:
     """Mediator table for the candidate (apex, p1, p2), or None if any cone
-    has anything but exactly one mediating arrow."""
+    has anything but exactly one mediating arrow.
+
+    Each h into the apex is filed under (p1∘h, p2∘h), read off the rows of
+    the projections; a key filed twice has two mediators."""
+    names, pos = K.names, K.pos
+    row1, row2 = K.rows[p1], K.rows[p2]
     mediators: dict[Cone, ArrowId] = {}
-    for z in C.objects:
-        into_apex = C.hom(z, apex)
-        for f in C.hom(z, a):
-            for g in C.hom(z, b):
-                found = None
-                for h in into_apex:
-                    if C.compose(p1, h) == f and C.compose(p2, h) == g:
-                        if found is not None:
-                            return None
-                        found = h
-                if found is None:
+    for z in K.objects:
+        found: dict[tuple[int, int], int | None] = {}
+        for h in K.hom(z, apex):
+            key = (row1[pos[h]], row2[pos[h]])
+            found[key] = None if key in found else h
+        for f in K.hom(z, a):
+            for g in K.hom(z, b):
+                h = found.get((f, g))
+                if h is None:
                     return None
-                mediators[Cone(z, f, g)] = found
+                mediators[Cone(z, names[f], names[g])] = names[h]
     return mediators
 
 
@@ -117,15 +120,15 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
     is empty when no product exists.  Mediator search is pure enumeration of
     hom-sets, in hom order, so results are deterministic.
     """
+    K = C.kernel()
     certificates = []
     for apex in C.objects:
-        for p1 in C.hom(apex, a):
-            for p2 in C.hom(apex, b):
-                mediators = _universal_mediators(C, a, b, apex, p1, p2)
+        for p1 in K.hom(apex, a):
+            for p2 in K.hom(apex, b):
+                mediators = _universal_mediators(K, a, b, apex, p1, p2)
                 if mediators is not None:
-                    certificates.append(
-                        ProductCertificate(Cone(apex, p1, p2), mediators)
-                    )
+                    cone = Cone(apex, K.names[p1], K.names[p2])
+                    certificates.append(ProductCertificate(cone, mediators))
     return certificates
 
 

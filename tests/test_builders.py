@@ -7,6 +7,7 @@ from fincat.builders import (
     build_finrel,
     build_finset,
     build_mat,
+    compose_functions,
     compose_relations,
     monoid_as_category,
     poset_as_category,
@@ -223,3 +224,35 @@ class TestCanonicalNaming:
     def test_identity_name_matches_identity_table(self):
         fs = build_finset([TWO])
         assert fs.identity("Two") == "Two->Two{0:0,1:1}"
+
+
+class TestCompositionTables:
+    """The builders compose by id; these compare every composite with the
+    element-level composite and pin the order of the compose table."""
+
+    SETS = [NamedFiniteSet("Empty", ()), DOT, TWO, NamedFiniteSet("Three", ("a", "b", "c"))]
+
+    def test_finset_composites_are_function_composites(self):
+        fs = build_finset(self.SETS)
+        for (g, f), h in fs.category.composition.items():
+            assert fs.function(h) == compose_functions(fs.function(g), fs.function(f))
+
+    def test_finrel_composites_are_relation_composites(self):
+        fr = build_finrel(self.SETS[:3])
+        for (s, r), h in fr.category.composition.items():
+            assert fr.relation(h) == compose_relations(fr.relation(s), fr.relation(r))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_finset(TestCompositionTables.SETS[:3]).category,
+            lambda: build_finrel(TestCompositionTables.SETS[:3]).category,
+            lambda: poset_as_category(diamond()),
+            lambda: materialize(build_mat(2, 2)),
+        ],
+        ids=["finset", "finrel", "poset", "mat"],
+    )
+    def test_compose_table_lists_pairs_in_arrow_order(self, build):
+        C = build()
+        pairs = [(g.name, f.name) for f in C.arrows for g in C.arrows if f.cod == g.dom]
+        assert list(C.composition) == pairs
