@@ -260,6 +260,9 @@ class _WrappedCategory(CategoryView):
     def all_arrows(self):
         return self.category.all_arrows()
 
+    def kernel(self):
+        return self.category.kernel()
+
 
 @dataclass(frozen=True)
 class FinSetCategory(_WrappedCategory):
@@ -307,7 +310,8 @@ def _all_arrows(
     before anything is built; ``hom(X, Y)`` maps the key of each arrow X -> Y
     to its name, in hom order; ``identity(S)`` is the key of the identity of
     S; and ``after(f)(g)`` is the key of "f then g", which lands in the hom
-    from dom f to cod g.  Each name is rendered once, by ``hom``.
+    from dom f to cod g.  Each name is rendered once, by ``hom``, and each
+    composite is looked up once, by id, into the row of g.
     """
     sets = tuple(sets)
     if len(set(s.name for s in sets)) != len(sets):
@@ -321,25 +325,32 @@ def _all_arrows(
     if total > budget:
         raise EnumerationBudgetExceeded(f"{total} {kind} exceed the budget of {budget}")
 
-    homs = {(x.name, y.name): hom(x, y) for x in sets for y in sets}
-    arrows = [
-        Arrow(name, x.name, y.name)
-        for x in sets
-        for y in sets
-        for name in homs[(x.name, y.name)].values()
-    ]
-    identities = {s.name: homs[(s.name, s.name)][identity(s)] for s in sets}
-    composition: dict[tuple[ArrowId, ArrowId], ArrowId] = {}
-    for x in sets:
-        for y in sets:
-            for f, f_name in homs[(x.name, y.name)].items():
-                after_f = after(f)
-                for z in sets:
-                    hom_xz = homs[(x.name, z.name)]
-                    for g, g_name in homs[(y.name, z.name)].items():
-                        composition[(g_name, f_name)] = hom_xz[after_f(g)]
+    arrows: list[Arrow] = []
+    keys = []
+    ids = [[{} for _ in sets] for _ in sets]  # ids[i][j]: key -> id of the arrow
+    spans = [[range(0) for _ in sets] for _ in sets]  # spans[i][j]: ids of the hom
+    for i, x in enumerate(sets):
+        for j, y in enumerate(sets):
+            start = len(arrows)
+            for key, name in hom(x, y).items():
+                ids[i][j][key] = len(arrows)
+                arrows.append(Arrow(name, x.name, y.name))
+                keys.append(key)
+            spans[i][j] = range(start, len(arrows))
+    afters = [after(key) for key in keys]
+    rows = []
+    for j in range(len(sets)):
+        for k in range(len(sets)):
+            for g in spans[j][k]:
+                key = keys[g]
+                row: list[int] = []
+                for i in range(len(sets)):
+                    into_k = ids[i][k]
+                    row.extend([into_k[afters[f](key)] for f in spans[i][j]])
+                rows.append(tuple(row))
+    identity_ids = [ids[i][i][identity(s)] for i, s in enumerate(sets)]
     names = tuple(s.name for s in sets)
-    return sets, FiniteCategory(names, tuple(arrows), identities, composition)
+    return sets, FiniteCategory.from_rows(names, tuple(arrows), identity_ids, rows)
 
 
 def build_finset(
@@ -414,23 +425,23 @@ def poset_as_category(P: FinitePoset) -> FiniteCategory:
     """Thin category: exactly one arrow a -> b when a <= b.
 
     Identities come from reflexivity, composition from transitivity: the
-    composite of a <= b and b <= c is the arrow a <= c out of a.
+    composite of a <= b and b <= c is the arrow a <= c.  Arrows are listed
+    by domain, then codomain, in element order, so the row of b <= c lists
+    the arrows x <= c for every x <= b.
     """
-    out: dict[str, dict[str, ArrowId]] = {}
+    elements = tuple(P.elements)
     arrows = []
-    for a, ups in zip(P.elements, P.ups):
-        out[a] = {}
-        for j in bits(ups):
-            b = P.elements[j]
-            out[a][b] = poset_arrow_name(a, b)
-            arrows.append(Arrow(out[a][b], a, b))
-    identities = {a: out[a][a] for a in P.elements}
-    composition = {}
-    for f in arrows:
-        from_dom = out[f.dom]
-        for c, g in out[f.cod].items():
-            composition[(g, f.name)] = from_dom[c]
-    return FiniteCategory(tuple(P.elements), tuple(arrows), identities, composition)
+    ends = []
+    into_id = [[0] * len(elements) for _ in elements]  # into_id[b][a]: id of a <= b
+    for a, ups in enumerate(P.ups):
+        for b in bits(ups):
+            into_id[b][a] = len(arrows)
+            arrows.append(Arrow(poset_arrow_name(elements[a], elements[b]), elements[a], elements[b]))
+            ends.append((a, b))
+    below = [take(list(bits(downs))) for downs in P.downs]
+    rows = [below[b](into_id[c]) for b, c in ends]
+    identity = [into_id[a][a] for a in range(len(elements))]
+    return FiniteCategory.from_rows(elements, tuple(arrows), identity, rows)
 
 
 def poset_from_category(C: FiniteCategory) -> FinitePoset:
@@ -473,17 +484,21 @@ class MatCategory(CategoryView):
     """Matrices over Z_p, hom-sets enumerated on demand.
 
     Objects are the dimensions 0..max_dim (as strings); hom(n, m) lists every
-    n x m matrix mod p in lexicographic entry order.  The composite of
-    M : n -> m followed by N : m -> k is the n x k matrix product M·N.
-    Each hom-set is enumerated once, and each arrow name parsed once: the
-    view keeps the matrix of every name it has enumerated, composed or
-    parsed.
+    n x m matrix mod p in lexicographic entry order, so an arrow is its
+    dimensions and its index in that order, the base-p code of its entries.
+    The composite of M : n -> m followed by N : m -> k is the n x k matrix
+    product M·N, whose i-th row is the i-th row of M times N: composing reads
+    N's action on row vectors (the code of v to the code of v·N) at the codes
+    of the rows of M, and returns the name already listed in hom(n, k).  Each
+    hom-set is enumerated once, and a name is an arrow only if it is the
+    canonical rendering of its matrix.
     """
 
     p: int
     max_dim: int
-    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _arrows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _homs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def objects(self) -> tuple[ObjectId, ...]:
@@ -498,66 +513,119 @@ class MatCategory(CategoryView):
             raise UnknownObject(f"unknown object {a!r}")
         return n
 
-    def matrix(self, f: ArrowId) -> MatrixOverZp:
-        """Parse an arrow name back into its matrix."""
-        known = self._matrices.get(f)
-        if known is not None:
-            return known
-        try:
-            dims, rest = f.split("[", 1)
-            rows_s, cols_s = dims.split("x")
-            rows, cols = int(rows_s), int(cols_s)
-            body = rest[:-1] if rest.endswith("]") else None
-            if body is None:
-                raise ValueError
-            if rows == 0 or cols == 0:
-                entries: tuple[tuple[int, ...], ...] = tuple(
-                    () for _ in range(rows)
-                )
-                if body != ";".join("" for _ in range(rows)):
-                    raise ValueError
-            else:
-                entries = tuple(
-                    tuple(int(e) for e in row.split(",")) for row in body.split(";")
-                )
-            m = MatrixOverZp(self.p, rows, cols, entries)
-        except (ValueError, IndexError):
-            raise UnknownArrow(f"unknown arrow {f!r}") from None
-        if rows > self.max_dim or cols > self.max_dim:
-            raise UnknownArrow(f"arrow {f!r} exceeds dimension {self.max_dim}")
-        self._matrices[f] = m
-        return m
+    def _arrow(self, f: ArrowId) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(rows, cols, the code of each row, the entries) of an arrow name:
+        the name must be listed in the hom its dimensions name."""
+        known = self._arrows.get(f)
+        if known is None:
+            try:
+                n, m = map(int, f.split("[", 1)[0].split("x"))
+            except ValueError:
+                raise UnknownArrow(f"unknown arrow {f!r}") from None
+            if max(n, m) > self.max_dim:
+                raise UnknownArrow(f"arrow {f!r} exceeds dimension {self.max_dim}")
+            if min(n, m) >= 0:
+                self._hom(n, m)
+            known = self._arrows.get(f)
+            if known is None:
+                raise UnknownArrow(f"unknown arrow {f!r}")
+        return known
 
-    def hom(self, a: ObjectId, b: ObjectId) -> tuple[ArrowId, ...]:
-        n, m = self._dim(a), self._dim(b)
+    def matrix(self, f: ArrowId) -> MatrixOverZp:
+        """The matrix an arrow name renders."""
+        n, m, _, entries = self._arrow(f)
+        return MatrixOverZp(self.p, n, m, entries)
+
+    def _hom(self, n: int, m: int) -> tuple[ArrowId, ...]:
         if (n, m) not in self._homs:
             names = []
+            width = self.p ** m
             for flat in itertools.product(range(self.p), repeat=n * m):
-                entries = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
-                matrix = MatrixOverZp(self.p, n, m, entries)
-                names.append(_matrix_name(matrix))
-                self._matrices[names[-1]] = matrix
+                entries = tuple(flat[i * m : (i + 1) * m] for i in range(n))
+                name = f"{n}x{m}[" + ";".join(",".join(map(str, row)) for row in entries) + "]"
+                codes = tuple(len(names) // width ** (n - 1 - i) % width for i in range(n))
+                self._arrows[name] = (n, m, codes, entries)
+                names.append(name)
             self._homs[(n, m)] = tuple(names)
         return self._homs[(n, m)]
 
+    def _action(self, g: ArrowId) -> list[int]:
+        """The code of v·N for every row vector v, by code, where N is g's matrix."""
+        action = self._actions.get(g)
+        if action is None:
+            rows, cols, _, entries = self._arrow(g)
+            columns = list(zip(*entries)) if rows else [()] * cols
+            action = []
+            for v in itertools.product(range(self.p), repeat=rows):
+                code = 0
+                for column in columns:
+                    code = code * self.p + sum(map(operator.mul, v, column)) % self.p
+                action.append(code)
+            self._actions[g] = action
+        return action
+
+    def hom(self, a: ObjectId, b: ObjectId) -> tuple[ArrowId, ...]:
+        return self._hom(self._dim(a), self._dim(b))
+
     def dom(self, f: ArrowId) -> ObjectId:
-        return str(self.matrix(f).rows)
+        return str(self._arrow(f)[0])
 
     def cod(self, f: ArrowId) -> ObjectId:
-        return str(self.matrix(f).cols)
+        return str(self._arrow(f)[1])
 
     def compose(self, g: ArrowId, f: ArrowId) -> ArrowId:
-        mf = self.matrix(f)
-        mg = self.matrix(g)
-        if mf.cols != mg.rows:
+        n, m, codes, _ = self._arrow(f)
+        m_g, k, _, _ = self._arrow(g)
+        if m != m_g:
             raise ValueError(f"arrows not composable: {f!r} then {g!r}")
-        product = mf.multiply(mg)
-        name = _matrix_name(product)
-        self._matrices.setdefault(name, product)
-        return name
+        return self._hom(n, k)[_code(codes, self._action(g), self.p ** k)]
+
+    def row(self, g: ArrowId) -> tuple[ArrowId, ...]:
+        """The composites of g after every arrow into dom g, by code.
+
+        As the matrices M of hom(n, dom g) run through their codes in
+        order, the rows of M·N are the images of the rows of M under the
+        action of g's matrix N, so each n adds one comprehension over the
+        codes of n - 1."""
+        _, k, _, _ = self._arrow(g)
+        action = self._action(g)
+        width = self.p ** k
+        composites: list[ArrowId] = []
+        codes = [0]
+        for n in range(self.max_dim + 1):
+            if n:
+                codes = [code * width + image for code in codes for image in action]
+            composites.extend(map(self._hom(n, k).__getitem__, codes))
+        return tuple(composites)
+
+    def column(self, f: ArrowId) -> tuple[ArrowId, ...]:
+        n, m, codes, _ = self._arrow(f)
+        composites = []
+        for k in range(self.max_dim + 1):
+            products, width = self._hom(n, k), self.p ** k
+            composites.extend(
+                products[_code(codes, self._action(g), width)] for g in self._hom(m, k)
+            )
+        return tuple(composites)
 
     def identity(self, a: ObjectId) -> ArrowId:
         return _matrix_name(MatrixOverZp.identity(self.p, self._dim(a)))
+
+    def kernel(self):
+        """The view's kernel, made once: the view never changes."""
+        try:
+            return self._kernel
+        except AttributeError:
+            object.__setattr__(self, "_kernel", CategoryView.kernel(self))
+            return self._kernel
+
+
+def _code(codes: tuple[int, ...], action: list[int], width: int) -> int:
+    """The code of the matrix whose rows are the images of ``codes``."""
+    code = 0
+    for row in codes:
+        code = code * width + action[row]
+    return code
 
 
 def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory:

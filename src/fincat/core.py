@@ -4,24 +4,33 @@ Objects and arrows are identified by name strings at the boundary; equality
 of arrows is equality of names.  Composition is stored as a table over
 composable pairs, and ``compose(g, f)`` always reads "f then g".
 
-The deciders -- :func:`validate` here, products, the natural-numbers search
-and functoriality elsewhere -- work on the category's :class:`Kernel`, dense
-integer tables in the style of Rydeheard and Burstall's *Computational
-Category Theory* (1988).  Arrow ids follow ``arrows`` order; each object
-lists the arrows into and out of it; and each arrow g keeps its
-postcomposition row, the id of g∘f for every f into dom g.  Composing is
-then two list lookups, and associativity is the row identity
-``row(h∘g) == row(h)∘row(g)``.  The kernel is derived on first use and
-cached, so a malformed table still constructs; deriving it checks the
-structure (dangling ids, a partial or overfull compose table) and raises
-:class:`MalformedTable` at the first problem.  The arrow predicates stay
-generic over :class:`CategoryView`, guarded by an arrow-count budget so
-lazily enumerated categories cannot blow up silently.
+Every decider -- :func:`validate` and the arrow predicates here, products,
+the natural-numbers search and functoriality elsewhere -- works on the
+category's :class:`Kernel`, dense integer tables in the style of Rydeheard
+and Burstall's *Computational Category Theory* (1988).  Arrow ids follow
+``arrows`` order; each object lists the arrows into and out of it; and each
+arrow g keeps its postcomposition row, the id of g∘f for every f into
+dom g.  Composing is then two list lookups, associativity is the row
+identity ``row(h∘g) == row(h)∘row(g)``, f is monic when its row repeats no
+id within a hom, and epic when its column (g∘f for every g out of cod f)
+does not.
+
+A category read from user tables derives its kernel on first use and caches
+it, so a malformed table still constructs; deriving it checks the structure
+(dangling ids, a partial or overfull compose table) and raises
+:class:`MalformedTable` at the first problem.  The builders compose by id
+and hand their rows over through :meth:`FiniteCategory.from_rows`; such a
+category's ``composition`` is a read-only view of the rows.  Any other
+:class:`CategoryView` reaches the predicates through a kernel whose arrow
+ids are the view's own names, and every predicate charges an arrow-count
+budget so lazily enumerated categories cannot blow up silently.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
@@ -85,6 +94,20 @@ class CategoryView:
         except UnknownArrow:
             return False
         return True
+
+    def row(self, g: ArrowId) -> tuple[ArrowId, ...]:
+        """g∘f for every f into dom g, objects in order, each hom in hom order."""
+        target = self.dom(g)
+        return tuple([self.compose(g, f) for z in self.objects for f in self.hom(z, target)])
+
+    def column(self, f: ArrowId) -> tuple[ArrowId, ...]:
+        """g∘f for every g out of cod f, objects in order, each hom in hom order."""
+        source = self.cod(f)
+        return tuple([self.compose(g, f) for z in self.objects for g in self.hom(source, z)])
+
+    def kernel(self) -> "Kernel | _ViewKernel":
+        """The tables the arrow predicates read; for a view, read through it."""
+        return _ViewKernel(self)
 
 
 @dataclass(frozen=True)
@@ -167,9 +190,39 @@ class FiniteCategory(CategoryView):
         try:
             return self._kernel
         except AttributeError:
-            kernel = Kernel(self)
+            kernel = _read_tables(self)
             object.__setattr__(self, "_kernel", kernel)
             return kernel
+
+    @classmethod
+    def from_rows(
+        cls,
+        objects: tuple[ObjectId, ...],
+        arrows: tuple[Arrow, ...],
+        identity: list[int],
+        rows: list[tuple[int, ...]],
+    ) -> "FiniteCategory":
+        """The category whose composites are given by id, as kernel rows.
+
+        Arrow i is ``arrows[i]``, the identity of ``objects[k]`` is arrow
+        ``identity[k]``, and ``rows[g]`` lists the id of g∘f for every f
+        into dom g, in arrow order.  The rows are trusted, so none of the
+        structure checks of user tables runs; ``composition`` is the
+        read-only :class:`Composites` view of them.
+        """
+        object_ids = {a: k for k, a in enumerate(objects)}
+        kernel = Kernel(
+            objects,
+            tuple(arr.name for arr in arrows),
+            [object_ids[arr.dom] for arr in arrows],
+            [object_ids[arr.cod] for arr in arrows],
+            identity,
+            rows,
+        )
+        identities = {a: kernel.names[i] for a, i in zip(objects, identity)}
+        C = cls(objects, arrows, identities, Composites(kernel))
+        object.__setattr__(C, "_kernel", kernel)
+        return C
 
 
 @dataclass(frozen=True)
@@ -203,99 +256,252 @@ def take(positions: list[int]) -> Callable[[tuple], tuple]:
     return lambda row: ()
 
 
+class _Lazy(dict):
+    """A dict that makes a missing entry with ``make`` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _lists(ends: list[int], count: int) -> tuple[list[list[int]], list[int]]:
+    """The arrows at each of ``count`` objects, in arrow order, given one end
+    of every arrow, and each arrow's position in its object's list."""
+    lists: list[list[int]] = [[] for _ in range(count)]
+    positions = []
+    for i, end in enumerate(ends):
+        positions.append(len(lists[end]))
+        lists[end].append(i)
+    return lists, positions
+
+
 class Kernel:
     """Dense-id tables of a :class:`FiniteCategory`.
 
-    Arrow i is ``arrows[i]`` and object k is ``objects[k]``; ``dom`` and
-    ``cod`` give object ids.  ``into[k]`` and ``out[k]`` list the arrows
-    into and out of object k in arrow order, and ``pos[f]`` is f's index in
-    ``into[cod f]``.  ``rows[g][pos[f]]`` is the id of g∘f: the row of g is
-    its action by postcomposition on the arrows into its domain.
+    Arrow i is ``names[i]`` and object k is ``objects[k]``; ``dom`` and
+    ``cod`` give object ids, and ``homs[a][b]`` the ids of the arrows a -> b.
+    ``into[k]`` and ``out[k]`` list the arrows into and out of object k in
+    arrow order; ``pos[f]`` is f's index in ``into[cod f]`` and ``opos[f]``
+    in ``out[dom f]``.  ``rows[g][pos[f]]`` is the id of g∘f: the row of g
+    is its action by postcomposition on the arrows into its domain.
+    ``cols[f][opos[g]]`` is the same id, read as the column of f over the
+    arrows out of its codomain; columns are made on first use.
 
-    Construction raises :class:`MalformedTable` at the first dangling id,
-    missing or unknown identity, non-composable entry or missing entry.
-    Typing and the laws are left to :func:`validate`.
+    The constructor takes the tables by id and checks nothing;
+    :meth:`FiniteCategory.kernel` reads user tables with every structure
+    check.  Typing and the laws are left to :func:`validate`.
     """
 
-    __slots__ = ("objects", "object_ids", "names", "ids", "dom", "cod", "into", "out", "pos", "rows", "identity", "_hom")
+    __slots__ = (
+        "objects", "object_ids", "names", "ids", "dom", "cod", "homs",
+        "into", "out", "pos", "opos", "rows", "cols", "identity",
+    )
 
-    def __init__(self, C: FiniteCategory):
-        objects = C.objects
-        obj_ids = {a: k for k, a in enumerate(objects)}
-        names = tuple(arr.name for arr in C.arrows)
-        ids = {f: i for i, f in enumerate(names)}
-        dom, cod = [], []
-        for arr in C.arrows:
-            if arr.dom not in obj_ids:
-                raise MalformedTable(f"arrow {arr.name!r} has unknown domain {arr.dom!r}")
-            if arr.cod not in obj_ids:
-                raise MalformedTable(f"arrow {arr.name!r} has unknown codomain {arr.cod!r}")
-            dom.append(obj_ids[arr.dom])
-            cod.append(obj_ids[arr.cod])
-        identity = []
-        for a in objects:
-            if a not in C.identities:
-                raise MalformedTable(f"identity table has no entry for object {a!r}")
-            if C.identities[a] not in ids:
-                raise MalformedTable(
-                    f"identity of {a!r} is the unknown arrow {C.identities[a]!r}"
-                )
-            identity.append(ids[C.identities[a]])
-        for extra in C.identities:
-            if extra not in obj_ids:
-                raise MalformedTable(f"identity table mentions unknown object {extra!r}")
-
-        into: list[list[int]] = [[] for _ in objects]
-        out: list[list[int]] = [[] for _ in objects]
-        pos = []
-        for i in range(len(names)):
-            pos.append(len(into[cod[i]]))
-            into[cod[i]].append(i)
-            out[dom[i]].append(i)
-
-        rows: list[list] = [[None] * len(into[d]) for d in dom]
-        for (g, f), h in C.composition.items():
-            gi, fi, hi = ids.get(g), ids.get(f), ids.get(h)
-            if gi is None or fi is None or hi is None:
-                unknown = next(x for x in (g, f, h) if x not in ids)
-                raise MalformedTable(f"compose table mentions unknown arrow {unknown!r}")
-            if cod[fi] != dom[gi]:
-                raise MalformedTable(
-                    f"compose table has an entry for the non-composable pair ({g!r}, {f!r})"
-                )
-            rows[gi][pos[fi]] = hi
-        if len(C.composition) != sum(len(i) * len(o) for i, o in zip(into, out)):
-            for fi in range(len(names)):
-                for gi in out[cod[fi]]:
-                    if rows[gi][pos[fi]] is None:
-                        raise MalformedTable(
-                            "compose table is partial: missing entry for "
-                            f"({names[gi]!r}, {names[fi]!r})"
-                        )
-
+    def __init__(
+        self,
+        objects: tuple[ObjectId, ...],
+        names: tuple[ArrowId, ...],
+        dom: list[int],
+        cod: list[int],
+        identity: list[int],
+        rows: list[tuple[int, ...]],
+    ):
+        into, pos = _lists(cod, len(objects))
+        out, opos = _lists(dom, len(objects))
+        homs: list[list[list[int]]] = [[[] for _ in objects] for _ in objects]
+        for i, (a, b) in enumerate(zip(dom, cod)):
+            homs[a][b].append(i)
         self.objects = objects
-        self.object_ids = obj_ids
+        self.object_ids = {a: k for k, a in enumerate(objects)}
         self.names = names
-        self.ids = ids
+        self.ids = {f: i for i, f in enumerate(names)}
         self.dom = dom
         self.cod = cod
+        self.homs = [list(map(tuple, row)) for row in homs]
         self.into = into
         self.out = out
         self.pos = pos
-        self.rows = [tuple(row) for row in rows]
+        self.opos = opos
+        self.rows = rows
+        self.cols = _Lazy(lambda f: tuple([rows[g][pos[f]] for g in out[cod[f]]]))
         self.identity = identity
-        self._hom = {k: tuple(map(ids.__getitem__, v)) for k, v in C._hom.items()}
+
+    def arrow_id(self, f: ArrowId) -> int:
+        try:
+            return self.ids[f]
+        except KeyError:
+            raise UnknownArrow(f"unknown arrow {f!r}") from None
 
     def hom(self, a: ObjectId, b: ObjectId) -> tuple[int, ...]:
         """Ids of the arrows a -> b, in arrow order."""
         for x in (a, b):
             if x not in self.object_ids:
                 raise UnknownObject(f"unknown object {x!r}")
-        return self._hom.get((a, b), ())
+        return self.homs[self.object_ids[a]][self.object_ids[b]]
 
     def compose(self, g: int, f: int) -> int | None:
         """The id of g∘f, or None when cod f is not dom g."""
         return self.rows[g][self.pos[f]] if self.cod[f] == self.dom[g] else None
+
+
+def _read_tables(C: FiniteCategory) -> Kernel:
+    """The kernel of user tables.
+
+    Raises :class:`MalformedTable` at the first dangling id, missing or
+    unknown identity, non-composable entry or missing entry.
+    """
+    objects = C.objects
+    obj_ids = {a: k for k, a in enumerate(objects)}
+    names = tuple(arr.name for arr in C.arrows)
+    ids = {f: i for i, f in enumerate(names)}
+    dom, cod = [], []
+    for arr in C.arrows:
+        if arr.dom not in obj_ids:
+            raise MalformedTable(f"arrow {arr.name!r} has unknown domain {arr.dom!r}")
+        if arr.cod not in obj_ids:
+            raise MalformedTable(f"arrow {arr.name!r} has unknown codomain {arr.cod!r}")
+        dom.append(obj_ids[arr.dom])
+        cod.append(obj_ids[arr.cod])
+    identity = []
+    for a in objects:
+        if a not in C.identities:
+            raise MalformedTable(f"identity table has no entry for object {a!r}")
+        if C.identities[a] not in ids:
+            raise MalformedTable(
+                f"identity of {a!r} is the unknown arrow {C.identities[a]!r}"
+            )
+        identity.append(ids[C.identities[a]])
+    for extra in C.identities:
+        if extra not in obj_ids:
+            raise MalformedTable(f"identity table mentions unknown object {extra!r}")
+
+    into, pos = _lists(cod, len(objects))
+    out = _lists(dom, len(objects))[0]
+    rows: list[list] = [[None] * len(into[d]) for d in dom]
+    for (g, f), h in C.composition.items():
+        gi, fi, hi = ids.get(g), ids.get(f), ids.get(h)
+        if gi is None or fi is None or hi is None:
+            unknown = next(x for x in (g, f, h) if x not in ids)
+            raise MalformedTable(f"compose table mentions unknown arrow {unknown!r}")
+        if cod[fi] != dom[gi]:
+            raise MalformedTable(
+                f"compose table has an entry for the non-composable pair ({g!r}, {f!r})"
+            )
+        rows[gi][pos[fi]] = hi
+    if len(C.composition) != sum(len(i) * len(o) for i, o in zip(into, out)):
+        for fi in range(len(names)):
+            for gi in out[cod[fi]]:
+                if rows[gi][pos[fi]] is None:
+                    raise MalformedTable(
+                        "compose table is partial: missing entry for "
+                        f"({names[gi]!r}, {names[fi]!r})"
+                    )
+    return Kernel(objects, names, dom, cod, identity, [tuple(row) for row in rows])
+
+
+class Composites(Mapping):
+    """The compose table of a category built by id, read off its kernel rows.
+
+    The keys are the composable name pairs (g, f), f in arrow order and, for
+    each, g over the arrows out of cod f; the value is the name of g∘f.  It
+    compares equal to the dict with the same items, and any other key, a
+    non-composable pair included, raises KeyError.
+    """
+
+    __slots__ = ("_kernel",)
+
+    def __init__(self, kernel: Kernel):
+        self._kernel = kernel
+
+    def __getitem__(self, key: tuple[ArrowId, ArrowId]) -> ArrowId:
+        K = self._kernel
+        try:
+            g, f = key
+            g, f = K.ids[g], K.ids[f]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if K.cod[f] != K.dom[g]:
+            raise KeyError(key)
+        return K.names[K.rows[g][K.pos[f]]]
+
+    def __iter__(self) -> Iterator[tuple[ArrowId, ArrowId]]:
+        return (key for key, _ in self._items())
+
+    def __len__(self) -> int:
+        K = self._kernel
+        return sum(len(i) * len(o) for i, o in zip(K.into, K.out))
+
+    def items(self) -> ItemsView:
+        return _CompositeItems(self)
+
+    def _items(self) -> Iterator[tuple[tuple[ArrowId, ArrowId], ArrowId]]:
+        K = self._kernel
+        names, rows, pos, out, cod = K.names, K.rows, K.pos, K.out, K.cod
+        for f, name in enumerate(names):
+            at = pos[f]
+            for g in out[cod[f]]:
+                yield (names[g], name), names[rows[g][at]]
+
+
+class _CompositeItems(ItemsView):
+    """Items read off the rows directly, not key by key."""
+
+    def __iter__(self):
+        return self._mapping._items()
+
+
+class _ViewKernel:
+    """The kernel interface of any :class:`CategoryView`, for the predicates.
+
+    Arrow ids are the view's own names, and object ids are positions in
+    ``objects``.  Hom lists, rows and columns are read from the view on
+    first use and kept; reading the row of g fills ``pos`` for the arrows
+    into dom g, and reading the column of f fills ``opos`` for the arrows
+    out of cod f.
+    """
+
+    def __init__(self, view: CategoryView):
+        objects = tuple(view.objects)
+        object_ids = {a: k for k, a in enumerate(objects)}
+        span = range(len(objects))
+        homs = [
+            _Lazy(lambda b, a=a: tuple(view.hom(objects[a], objects[b]))) for a in span
+        ]
+        dom = _Lazy(lambda f: object_ids[view.dom(f)])
+        cod = _Lazy(lambda f: object_ids[view.cod(f)])
+        pos: dict[ArrowId, int] = {}
+        opos: dict[ArrowId, int] = {}
+
+        def row(g: ArrowId) -> tuple[ArrowId, ...]:
+            into = (f for z in span for f in homs[z][dom[g]])
+            pos.update((f, i) for i, f in enumerate(into))
+            return view.row(g)
+
+        def column(f: ArrowId) -> tuple[ArrowId, ...]:
+            out = (g for z in span for g in homs[cod[f]][z])
+            opos.update((g, i) for i, g in enumerate(out))
+            return view.column(f)
+
+        self.objects = objects
+        self.names = _Lazy(lambda f: f)
+        self.dom = dom
+        self.cod = cod
+        self.homs = homs
+        self.pos = pos
+        self.opos = opos
+        self.rows = _Lazy(row)
+        self.cols = _Lazy(column)
+        self.identity = _Lazy(lambda a: view.identity(objects[a]))
+
+    def arrow_id(self, f: ArrowId) -> ArrowId:
+        self.dom[f]
+        return f
 
 
 def validate(C: FiniteCategory) -> AxiomReport:
@@ -403,22 +609,42 @@ class _Budget:
             )
 
 
+def _first_repeat(K, line, at, homs, budget: int) -> tuple[ArrowId, ArrowId] | None:
+    """First (g, h), g before h in one hom of ``homs``, with the same
+    composite ``line[at[g]] == line[at[h]]``, or None.
+
+    A line that repeats no id has no such pair.  Otherwise the homs are
+    scanned in order, each charged to the budget before it is read, so the
+    budget raises at the same point as a search hom by hom.
+    """
+    meter = _Budget(budget)
+    if len(set(line)) == len(line):
+        meter.charge(len(line))
+        return None
+    for hom in homs:
+        meter.charge(len(hom))
+        first_with: dict = {}
+        for g in hom:
+            composite = line[at[g]]
+            if composite in first_with:
+                return (K.names[first_with[composite]], K.names[g])
+            first_with[composite] = g
+    return None
+
+
 def monic_counterexample(
     C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> tuple[ArrowId, ArrowId] | None:
-    """First pair (g, h) with f∘g = f∘h but g ≠ h, or None if f is monic."""
-    source = C.dom(f)
-    meter = _Budget(budget)
-    for z in C.objects:
-        candidates = C.hom(z, source)
-        meter.charge(len(candidates))
-        first_with: dict[ArrowId, ArrowId] = {}
-        for g in candidates:
-            composite = C.compose(f, g)
-            if composite in first_with:
-                return (first_with[composite], g)
-            first_with[composite] = g
-    return None
+    """First pair (g, h) with f∘g = f∘h but g ≠ h, or None if f is monic.
+
+    f∘g is read off the row of f; the pairs are searched hom by hom, in
+    object order and then hom order.
+    """
+    K = C.kernel()
+    f = K.arrow_id(f)
+    source = K.dom[f]
+    homs = (K.homs[z][source] for z in range(len(K.objects)))
+    return _first_repeat(K, K.rows[f], K.pos, homs, budget)
 
 
 def is_monic(C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
@@ -429,19 +655,16 @@ def is_monic(C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
 def epic_counterexample(
     C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> tuple[ArrowId, ArrowId] | None:
-    """First pair (g, h) with g∘f = h∘f but g ≠ h, or None if f is epic."""
-    target = C.cod(f)
-    meter = _Budget(budget)
-    for z in C.objects:
-        candidates = C.hom(target, z)
-        meter.charge(len(candidates))
-        first_with: dict[ArrowId, ArrowId] = {}
-        for g in candidates:
-            composite = C.compose(g, f)
-            if composite in first_with:
-                return (first_with[composite], g)
-            first_with[composite] = g
-    return None
+    """First pair (g, h) with g∘f = h∘f but g ≠ h, or None if f is epic.
+
+    g∘f is read off the column of f; the pairs are searched hom by hom, in
+    object order and then hom order.
+    """
+    K = C.kernel()
+    f = K.arrow_id(f)
+    target = K.cod[f]
+    homs = (K.homs[target][z] for z in range(len(K.objects)))
+    return _first_repeat(K, K.cols[f], K.opos, homs, budget)
 
 
 def is_epic(C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
@@ -454,24 +677,24 @@ def find_inverse(
 ) -> ArrowId | None:
     """The two-sided inverse of f if one exists, else None.
 
-    Searches hom(cod f, dom f) for g with g∘f and f∘g both identities.
-    A lawful category admits at most one such g; finding two means the
-    tables break the axioms, which is reported as MalformedTable.
+    Searches hom(cod f, dom f) for g with g∘f and f∘g both identities,
+    reading the column and the row of f.  A lawful category admits at most
+    one such g; finding two means the tables break the axioms, which is
+    reported as MalformedTable.
     """
-    a = C.dom(f)
-    b = C.cod(f)
-    id_a = C.identity(a)
-    id_b = C.identity(b)
-    candidates = C.hom(b, a)
+    K = C.kernel()
+    f = K.arrow_id(f)
+    a, b = K.dom[f], K.cod[f]
+    id_a, id_b = K.identity[a], K.identity[b]
+    candidates = K.homs[b][a]
     _Budget(budget).charge(len(candidates))
+    row, col, pos, opos = K.rows[f], K.cols[f], K.pos, K.opos
     matches = [
-        g
-        for g in candidates
-        if C.compose(g, f) == id_a and C.compose(f, g) == id_b
+        K.names[g] for g in candidates if col[opos[g]] == id_a and row[pos[g]] == id_b
     ]
     if len(matches) > 1:
         raise MalformedTable(
-            f"arrow {f!r} has several two-sided inverses {matches!r}; "
+            f"arrow {K.names[f]!r} has several two-sided inverses {matches!r}; "
             "the category laws must be broken"
         )
     return matches[0] if matches else None
@@ -487,7 +710,14 @@ def is_groupoid(C: FiniteCategory, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def materialize(view: CategoryView, budget: int = DEFAULT_BUDGET) -> FiniteCategory:
-    """Write out a lazily enumerated view as explicit tables."""
+    """Write out a lazily enumerated view as explicit tables.
+
+    The arrows are listed hom by hom in object order, each hom charged to
+    the budget; the view's :meth:`~CategoryView.row` of each arrow lists
+    its composites in that same order, and is turned into ids.  A view
+    whose identity or composite is not among the listed arrows raises
+    :class:`MalformedTable`.
+    """
     objs = tuple(view.objects)
     meter = _Budget(budget)
     arrows: list[Arrow] = []
@@ -496,12 +726,15 @@ def materialize(view: CategoryView, budget: int = DEFAULT_BUDGET) -> FiniteCateg
             names = view.hom(a, b)
             meter.charge(len(names))
             arrows.extend(Arrow(n, a, b) for n in names)
-    identities = {a: view.identity(a) for a in objs}
-    out: dict[ObjectId, list[ArrowId]] = {a: [] for a in objs}
-    for arr in arrows:
-        out[arr.dom].append(arr.name)
-    composition: dict[tuple[ArrowId, ArrowId], ArrowId] = {}
-    for f in arrows:
-        for g in out[f.cod]:
-            composition[(g, f.name)] = view.compose(g, f.name)
-    return FiniteCategory(objs, tuple(arrows), identities, composition)
+    ids = {arr.name: i for i, arr in enumerate(arrows)}
+    identities = [view.identity(a) for a in objs]
+    rows = [view.row(arr.name) for arr in arrows]
+    for name in chain(identities, *rows):
+        if name not in ids:
+            raise MalformedTable(f"the view names the unknown arrow {name!r}")
+    return FiniteCategory.from_rows(
+        objs,
+        tuple(arrows),
+        [ids[name] for name in identities],
+        [tuple(map(ids.__getitem__, row)) for row in rows],
+    )

@@ -119,12 +119,24 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
     All witnesses are returned, each with its full mediator table; the list
     is empty when no product exists.  Mediator search is pure enumeration of
     hom-sets, in hom order, so results are deterministic.
+
+    An apex is skipped when, for some z, hom(z, apex) has fewer arrows than
+    there are cones over (a, b) from z: each cone needs a mediator of its
+    own, so some cone would lack one whatever the projections.
     """
     K = C.kernel()
     certificates = []
+    cones = None
     for apex in C.objects:
-        for p1 in K.hom(apex, a):
-            for p2 in K.hom(apex, b):
+        p1s = K.hom(apex, a)
+        p2s = K.hom(apex, b) if p1s else ()
+        if p2s:
+            if cones is None:
+                cones = [len(K.hom(z, a)) * len(K.hom(z, b)) for z in C.objects]
+            if any(len(K.hom(z, apex)) < n for z, n in zip(C.objects, cones)):
+                continue
+        for p1 in p1s:
+            for p2 in p2s:
                 mediators = _universal_mediators(K, a, b, apex, p1, p2)
                 if mediators is not None:
                     cone = Cone(apex, K.names[p1], K.names[p2])

@@ -1,12 +1,14 @@
 """String-keyed reference implementation of the category deciders.
 
-This is how `fincat.core.validate`, `fincat.universal.find_products`,
+This is how `fincat.core.validate`, the arrow predicates,
+`fincat.core.materialize`, `fincat.universal.find_products`,
 `fincat.nno.nno_search` and `fincat.functors.check_functoriality` worked
 before the deciders moved to the integer kernel: every composite is a
-lookup in the compose dict keyed by name pairs, and the structure check and
-the law checks scan every pair of arrows.  It is slow but transparently
-correct, and the property tests compare the kernel deciders against it.  It
-is not part of the package.
+lookup in the compose dict keyed by name pairs, or a call to the view's
+`compose`, and the structure check and the law checks scan every pair of
+arrows.  `ReferenceMat` is the matrix view as it was before it composed by
+code.  It is all slow but transparently correct, and the property tests
+compare the kernel deciders against it.  It is not part of the package.
 
 Two departures from the old code, both where it was not deterministic or
 crashed: an unknown key of the identity table is reported in table order
@@ -17,8 +19,21 @@ None instead of raising KeyError.
 
 from __future__ import annotations
 
-from fincat.core import ArrowId, AxiomReport, CategoryView, FiniteCategory, ObjectId, Violation
-from fincat.errors import MalformedMap, MalformedTable
+import itertools
+
+from fincat.builders import MatrixOverZp, _matrix_name
+from fincat.core import (
+    DEFAULT_BUDGET,
+    Arrow,
+    ArrowId,
+    AxiomReport,
+    CategoryView,
+    FiniteCategory,
+    ObjectId,
+    Violation,
+    _Budget,
+)
+from fincat.errors import MalformedMap, MalformedTable, UnknownArrow, UnknownObject
 from fincat.functors import Functor
 from fincat.nno import NnoSearchResult
 from fincat.universal import Cone, ProductCertificate, find_terminals
@@ -288,3 +303,151 @@ def check_functoriality(F: Functor) -> AxiomReport:
                     )
                 )
     return AxiomReport.from_violations(violations)
+
+
+def monic_counterexample(
+    C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
+) -> tuple[ArrowId, ArrowId] | None:
+    """First pair (g, h) with f∘g = f∘h but g ≠ h, or None if f is monic."""
+    source = C.dom(f)
+    meter = _Budget(budget)
+    for z in C.objects:
+        candidates = C.hom(z, source)
+        meter.charge(len(candidates))
+        first_with: dict[ArrowId, ArrowId] = {}
+        for g in candidates:
+            composite = C.compose(f, g)
+            if composite in first_with:
+                return (first_with[composite], g)
+            first_with[composite] = g
+    return None
+
+
+def epic_counterexample(
+    C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
+) -> tuple[ArrowId, ArrowId] | None:
+    """First pair (g, h) with g∘f = h∘f but g ≠ h, or None if f is epic."""
+    target = C.cod(f)
+    meter = _Budget(budget)
+    for z in C.objects:
+        candidates = C.hom(target, z)
+        meter.charge(len(candidates))
+        first_with: dict[ArrowId, ArrowId] = {}
+        for g in candidates:
+            composite = C.compose(g, f)
+            if composite in first_with:
+                return (first_with[composite], g)
+            first_with[composite] = g
+    return None
+
+
+def find_inverse(
+    C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
+) -> ArrowId | None:
+    """The two-sided inverse of f if one exists, else None; two inverses
+    raise MalformedTable."""
+    a = C.dom(f)
+    b = C.cod(f)
+    id_a = C.identity(a)
+    id_b = C.identity(b)
+    candidates = C.hom(b, a)
+    _Budget(budget).charge(len(candidates))
+    matches = [
+        g
+        for g in candidates
+        if C.compose(g, f) == id_a and C.compose(f, g) == id_b
+    ]
+    if len(matches) > 1:
+        raise MalformedTable(
+            f"arrow {f!r} has several two-sided inverses {matches!r}; "
+            "the category laws must be broken"
+        )
+    return matches[0] if matches else None
+
+
+def materialize(view: CategoryView, budget: int = DEFAULT_BUDGET) -> FiniteCategory:
+    """Write out a lazily enumerated view as explicit tables."""
+    objs = tuple(view.objects)
+    meter = _Budget(budget)
+    arrows: list[Arrow] = []
+    for a in objs:
+        for b in objs:
+            names = view.hom(a, b)
+            meter.charge(len(names))
+            arrows.extend(Arrow(n, a, b) for n in names)
+    identities = {a: view.identity(a) for a in objs}
+    out: dict[ObjectId, list[ArrowId]] = {a: [] for a in objs}
+    for arr in arrows:
+        out[arr.dom].append(arr.name)
+    composition: dict[tuple[ArrowId, ArrowId], ArrowId] = {}
+    for f in arrows:
+        for g in out[f.cod]:
+            composition[(g, f.name)] = view.compose(g, f.name)
+    return FiniteCategory(objs, tuple(arrows), identities, composition)
+
+
+class ReferenceMat(CategoryView):
+    """Matrices over Z_p, every hom enumerated up front in lexicographic
+    entry order; a composite multiplies the two matrices and renders the
+    product's name.  Only the enumerated names are arrows."""
+
+    def __init__(self, p: int, max_dim: int):
+        self.p = p
+        self.objects = tuple(str(n) for n in range(max_dim + 1))
+        self.homs: dict[tuple[ObjectId, ObjectId], tuple[ArrowId, ...]] = {}
+        self.matrices: dict[ArrowId, MatrixOverZp] = {}
+        for n in range(max_dim + 1):
+            for m in range(max_dim + 1):
+                names = []
+                for flat in itertools.product(range(p), repeat=n * m):
+                    entries = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
+                    matrix = MatrixOverZp(p, n, m, entries)
+                    names.append(_matrix_name(matrix))
+                    self.matrices[names[-1]] = matrix
+                self.homs[(str(n), str(m))] = tuple(names)
+
+    def matrix(self, f: ArrowId) -> MatrixOverZp:
+        try:
+            return self.matrices[f]
+        except KeyError:
+            raise UnknownArrow(f"unknown arrow {f!r}") from None
+
+    def hom(self, a: ObjectId, b: ObjectId) -> tuple[ArrowId, ...]:
+        for x in (a, b):
+            if x not in self.objects:
+                raise UnknownObject(f"unknown object {x!r}")
+        return self.homs[(a, b)]
+
+    def dom(self, f: ArrowId) -> ObjectId:
+        return str(self.matrix(f).rows)
+
+    def cod(self, f: ArrowId) -> ObjectId:
+        return str(self.matrix(f).cols)
+
+    def compose(self, g: ArrowId, f: ArrowId) -> ArrowId:
+        mf, mg = self.matrix(f), self.matrix(g)
+        if mf.cols != mg.rows:
+            raise ValueError(f"arrows not composable: {f!r} then {g!r}")
+        return _matrix_name(mf.multiply(mg))
+
+    def identity(self, a: ObjectId) -> ArrowId:
+        self.hom(a, a)
+        return _matrix_name(MatrixOverZp.identity(self.p, int(a)))
+
+
+def poset_as_category(P) -> FiniteCategory:
+    """Thin category of a poset, its compose table a dict filled f by f."""
+    out: dict[str, dict[str, ArrowId]] = {}
+    arrows = []
+    for a in P.elements:
+        out[a] = {}
+        for b in P.elements:
+            if P.le(a, b):
+                out[a][b] = f"{a}<={b}"
+                arrows.append(Arrow(out[a][b], a, b))
+    identities = {a: out[a][a] for a in P.elements}
+    composition = {}
+    for f in arrows:
+        for c, g in out[f.cod].items():
+            composition[(g, f.name)] = out[f.dom][c]
+    return FiniteCategory(tuple(P.elements), tuple(arrows), identities, composition)

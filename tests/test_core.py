@@ -9,6 +9,7 @@ from fincat.builders import (
     poset_as_category,
 )
 from fincat.core import (
+    CategoryView,
     Arrow,
     FiniteCategory,
     epic_counterexample,
@@ -249,6 +250,27 @@ class TestMaterialize:
     def test_materialize_respects_budget(self):
         with pytest.raises(EnumerationBudgetExceeded):
             materialize(build_mat(2, 2), budget=10)
+
+    def test_a_view_composing_to_an_unlisted_arrow_is_malformed(self):
+        class Leaky(CategoryView):
+            objects = ("a",)
+
+            def hom(self, a, b):
+                return ("1",)
+
+            def dom(self, f):
+                return "a"
+
+            cod = dom
+
+            def compose(self, g, f):
+                return "ghost"
+
+            def identity(self, a):
+                return "1"
+
+        with pytest.raises(MalformedTable, match="unknown arrow 'ghost'"):
+            materialize(Leaky())
 
     def test_view_and_tables_agree(self):
         view = build_mat(3, 1)
