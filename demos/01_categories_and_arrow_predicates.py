@@ -22,8 +22,8 @@ two = NamedFiniteSet("Two", ("0", "1"))
 fs = build_finset([dot, two])
 
 print("objects:", fs.objects)
-print("arrow count:", len(fs.category.arrows))
-print("axioms hold:", validate(fs.category).ok)
+print("arrow count:", len(fs.arrows))
+print("axioms hold:", validate(fs).ok)
 print()
 
 # Left-cancellable agrees with injective, right-cancellable with surjective,

@@ -22,9 +22,9 @@ from fincat import (
 fs = build_finset(
     [NamedFiniteSet("P", ("p",)), NamedFiniteSet("Q", ("q",)), NamedFiniteSet("Two", ("0", "1"))]
 )
-terminals = find_terminals(fs.category)
+terminals = find_terminals(fs)
 print("terminal objects:", terminals)
-cert = terminal_iso_certificate(fs.category, terminals[0], terminals[1])
+cert = terminal_iso_certificate(fs, terminals[0], terminals[1])
 for check in cert.commuting_checks:
     print("  verified:", check)
 print()
@@ -50,9 +50,9 @@ fs4 = build_finset(
         NamedFiniteSet("Four", ("00", "01", "10", "11")),
     ]
 )
-certs = find_products(fs4.category, "Two", "Two")
+certs = find_products(fs4, "Two", "Two")
 print(f"witnesses for Two x Two: {len(certs)}, all with apex", certs[0].apex)
-iso = product_iso_certificate(fs4.category, certs[0], certs[1])
+iso = product_iso_certificate(fs4, certs[0], certs[1])
 print("unique iso between the first two witnesses:", iso.forward)
 print()
 
@@ -60,5 +60,5 @@ print()
 # terminal object.
 family = finite_product(C, ["2", "3", "6"])
 print("product of the family [2, 3, 6]:", family.apex)
-empty = finite_product(fs.category, [])
+empty = finite_product(fs, [])
 print("empty product (a terminal object):", empty.apex)

@@ -40,8 +40,8 @@ print()
 # The one-object category admits a degenerate winner (it contains nothing
 # that could refute it); adding a two-element set refutes every candidate.
 tiny = build_finset([NamedFiniteSet("One", ("*",))])
-print("one-object category:", nno_search(tiny.category).triples)
+print("one-object category:", nno_search(tiny).triples)
 bigger = build_finset(
     [NamedFiniteSet("One", ("*",)), NamedFiniteSet("Two", ("0", "1"))]
 )
-print("with a two-element set:", nno_search(bigger.category).triples)
+print("with a two-element set:", nno_search(bigger).triples)

@@ -233,42 +233,10 @@ def _matrix_name(m: MatrixOverZp) -> str:
     return f"{m.rows}x{m.cols}[{body}]"
 
 
-class _WrappedCategory(CategoryView):
-    """Delegating view over a materialized FiniteCategory."""
-
-    category: FiniteCategory
-
-    @property
-    def objects(self) -> tuple[ObjectId, ...]:
-        return self.category.objects
-
-    def hom(self, a, b):
-        return self.category.hom(a, b)
-
-    def dom(self, f):
-        return self.category.dom(f)
-
-    def cod(self, f):
-        return self.category.cod(f)
-
-    def compose(self, g, f):
-        return self.category.compose(g, f)
-
-    def identity(self, a):
-        return self.category.identity(a)
-
-    def all_arrows(self):
-        return self.category.all_arrows()
-
-    def kernel(self):
-        return self.category.kernel()
-
-
-@dataclass(frozen=True)
-class FinSetCategory(_WrappedCategory):
+@dataclass(frozen=True, eq=False)
+class FinSetCategory(FiniteCategory):
     """All functions between the given sets, with element-level access."""
 
-    category: FiniteCategory
     sets: Mapping[str, NamedFiniteSet]
     functions: Mapping[ArrowId, FiniteFunction]
 
@@ -279,11 +247,10 @@ class FinSetCategory(_WrappedCategory):
             raise UnknownArrow(f"unknown arrow {f!r}") from None
 
 
-@dataclass(frozen=True)
-class FinRelCategory(_WrappedCategory):
+@dataclass(frozen=True, eq=False)
+class FinRelCategory(FiniteCategory):
     """All relations between the given sets, with pair-level access."""
 
-    category: FiniteCategory
     sets: Mapping[str, NamedFiniteSet]
     relations: Mapping[ArrowId, FiniteRelation]
 
@@ -295,6 +262,7 @@ class FinRelCategory(_WrappedCategory):
 
 
 def _all_arrows(
+    cls: type[FiniteCategory],
     sets: Iterable[NamedFiniteSet],
     cap: int,
     budget: int,
@@ -303,8 +271,11 @@ def _all_arrows(
     hom: Callable[[NamedFiniteSet, NamedFiniteSet], dict],
     identity: Callable[[NamedFiniteSet], Hashable],
     after: Callable[[Hashable], Callable[[Hashable], Hashable]],
-) -> tuple[tuple[NamedFiniteSet, ...], FiniteCategory]:
-    """The category with the given sets as objects and every arrow of a kind.
+    **fields,
+) -> FiniteCategory:
+    """The ``cls`` category with the given sets as objects and every arrow
+    of a kind; its ``sets`` field maps each name to its set, and ``fields``
+    are its other extra fields.
 
     ``count(|X|, |Y|)`` is the size of hom(X, Y), checked against the budget
     before anything is built; ``hom(X, Y)`` maps the key of each arrow X -> Y
@@ -350,7 +321,9 @@ def _all_arrows(
                 rows.append(tuple(row))
     identity_ids = [ids[i][i][identity(s)] for i, s in enumerate(sets)]
     names = tuple(s.name for s in sets)
-    return sets, FiniteCategory.from_rows(names, tuple(arrows), identity_ids, rows)
+    return cls.from_rows(
+        names, tuple(arrows), identity_ids, rows, sets=dict(zip(names, sets)), **fields
+    )
 
 
 def build_finset(
@@ -373,11 +346,10 @@ def build_finset(
             functions[names[images]] = fn
         return names
 
-    sets, category = _all_arrows(
-        sets, cap, budget, "functions", lambda x, y: y ** x, hom,
-        lambda s: tuple(range(len(s.elements))), take,
+    return _all_arrows(
+        FinSetCategory, sets, cap, budget, "functions", lambda x, y: y ** x, hom,
+        lambda s: tuple(range(len(s.elements))), take, functions=functions,
     )
-    return FinSetCategory(category, {s.name: s for s in sets}, functions)
 
 
 def build_finrel(
@@ -410,11 +382,10 @@ def build_finrel(
             functools.reduce(operator.or_, map(s_rows.__getitem__, bits(row)), 0) for row in r_rows
         )
 
-    sets, category = _all_arrows(
-        sets, cap, budget, "relations", lambda x, y: 2 ** (x * y), hom,
-        lambda s: tuple(1 << i for i in range(len(s.elements))), after,
+    return _all_arrows(
+        FinRelCategory, sets, cap, budget, "relations", lambda x, y: 2 ** (x * y), hom,
+        lambda s: tuple(1 << i for i in range(len(s.elements))), after, relations=relations,
     )
-    return FinRelCategory(category, {s.name: s for s in sets}, relations)
 
 
 def poset_arrow_name(a: str, b: str) -> str:
@@ -462,10 +433,9 @@ def monoid_as_category(M: FiniteMonoid, object_name: str = "*") -> FiniteCategor
     if witness is not None:
         raise InvalidMonoid(f"monoid law broken: {witness!r}", witness=witness)
     arrows = tuple(Arrow(e, object_name, object_name) for e in M.elements)
-    composition = {
-        (g, f): M.mult[(g, f)] for g in M.elements for f in M.elements
-    }
-    return FiniteCategory((object_name,), arrows, {object_name: M.unit}, composition)
+    ids = {e: i for i, e in enumerate(M.elements)}
+    rows = [tuple(ids[M.mult[(g, f)]] for f in M.elements) for g in M.elements]
+    return FiniteCategory.from_rows((object_name,), arrows, [ids[M.unit]], rows)
 
 
 def _is_prime(n: int) -> bool:

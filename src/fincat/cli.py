@@ -9,6 +9,7 @@ fixed inputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -60,11 +61,13 @@ def _load_category_arg(args) -> core.FiniteCategory:
         built = formats.parse_builder(
             doc, where=str(args.file), cap=args.cap, budget=args.budget
         )
-        if isinstance(built, core.FiniteCategory):
-            return built
-        inner = getattr(built, "category", None)
-        return inner if inner is not None else core.materialize(built, args.budget)
+        return built if isinstance(built, core.FiniteCategory) else core.materialize(built, args.budget)
     return formats.parse_category(doc, where=str(args.file))
+
+
+def _require_nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise ParseError(f"{flag} must be nonnegative, got {value}")
 
 
 def _cmd_validate(args) -> tuple[Report, list[str]]:
@@ -285,6 +288,7 @@ def _cmd_modal_eval(args) -> tuple[Report, list[str]]:
 
 
 def _cmd_fo_eval(args) -> tuple[Report, list[str]]:
+    _require_nonnegative("--context", args.context)
     structure = formats.load_structure(args.file)
     formula = parse_formula(args.formula)
     denotation = tarski_denotation(structure, formula, args.context, args.budget)
@@ -300,8 +304,10 @@ def _cmd_fo_eval(args) -> tuple[Report, list[str]]:
 
 
 def _cmd_nno_demo(args) -> tuple[Report, list[str]]:
+    _require_nonnegative("--n", args.n)
     data = formats.load_recursion_data(args.file)
-    trace = {n: nno.primrec_eval(data, n) for n in range(args.n + 1)}
+    steps = itertools.accumulate(range(args.n), lambda x, _: data.step[x], initial=data.start)
+    trace = dict(enumerate(steps))
     mediation = nno.check_mediation(data, trace, args.n)
     payload = {
         "trace": {str(n): trace[n] for n in range(args.n + 1)},
@@ -433,9 +439,6 @@ def run(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.verb]
     try:
         report, lines = handler(args)
-    except ParseError as exc:
-        report = Report("error", args.verb, {"message": str(exc)}, [str(exc)])
-        lines = [f"error: {exc}"]
     except FincatError as exc:
         report = Report("error", args.verb, {"message": str(exc)}, [str(exc)])
         lines = [f"error: {exc}"]

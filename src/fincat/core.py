@@ -185,6 +185,19 @@ class FiniteCategory(CategoryView):
     def all_arrows(self) -> Iterator[ArrowId]:
         return iter(arr.name for arr in self.arrows)
 
+    def __eq__(self, other) -> bool:
+        """Equal tables make equal categories, whatever the subclass."""
+        if not isinstance(other, FiniteCategory):
+            return NotImplemented
+        return (self.objects, self.arrows, self.identities, self.composition) == (
+            other.objects, other.arrows, other.identities, other.composition
+        )
+
+    @property
+    def category(self) -> "FiniteCategory":
+        """The category itself, for callers that read a builder's ``category``."""
+        return self
+
     def kernel(self) -> "Kernel":
         """The dense-id tables, derived on first use and cached."""
         try:
@@ -201,6 +214,7 @@ class FiniteCategory(CategoryView):
         arrows: tuple[Arrow, ...],
         identity: list[int],
         rows: list[tuple[int, ...]],
+        **fields,
     ) -> "FiniteCategory":
         """The category whose composites are given by id, as kernel rows.
 
@@ -208,7 +222,8 @@ class FiniteCategory(CategoryView):
         ``identity[k]``, and ``rows[g]`` lists the id of g∘f for every f
         into dom g, in arrow order.  The rows are trusted, so none of the
         structure checks of user tables runs; ``composition`` is the
-        read-only :class:`Composites` view of them.
+        read-only :class:`Composites` view of them.  ``fields`` are the
+        extra fields of a subclass ``cls``.
         """
         object_ids = {a: k for k, a in enumerate(objects)}
         kernel = Kernel(
@@ -220,7 +235,7 @@ class FiniteCategory(CategoryView):
             rows,
         )
         identities = {a: kernel.names[i] for a, i in zip(objects, identity)}
-        C = cls(objects, arrows, identities, Composites(kernel))
+        C = cls(objects, arrows, identities, Composites(kernel), **fields)
         object.__setattr__(C, "_kernel", kernel)
         return C
 

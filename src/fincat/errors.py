@@ -6,7 +6,7 @@ class FincatError(Exception):
 
 
 class ParseError(FincatError):
-    """A fixture file is syntactically or schematically invalid."""
+    """An input file or argument is syntactically or schematically invalid."""
 
     def __init__(self, message: str, *, source: str | None = None, field: str | None = None):
         self.source = source

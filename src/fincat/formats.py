@@ -79,7 +79,7 @@ def read_json(path: str | Path) -> Any:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a null byte in the path, or not UTF-8
         raise ParseError(f"cannot read file: {exc}", source=str(path)) from exc
     try:
         return json.loads(text)
@@ -170,22 +170,14 @@ def parse_builder(doc: Any, where: str = "builder", cap: int | None = None, budg
     extra = {}
     if budget is not None:
         extra["budget"] = budget
-    if kind == "finset":
+    if kind in ("finset", "finrel"):
         _require_keys(doc, {"builder", "sets"}, set(), where)
+        build = build_finset if kind == "finset" else build_finrel
         kwargs = dict(extra)
         if cap is not None:
             kwargs["cap"] = cap
         try:
-            return build_finset(_parse_named_sets(doc["sets"], where), **kwargs)
-        except ValueError as exc:
-            raise ParseError(str(exc), source=where, field="sets") from exc
-    if kind == "finrel":
-        _require_keys(doc, {"builder", "sets"}, set(), where)
-        kwargs = dict(extra)
-        if cap is not None:
-            kwargs["cap"] = cap
-        try:
-            return build_finrel(_parse_named_sets(doc["sets"], where), **kwargs)
+            return build(_parse_named_sets(doc["sets"], where), **kwargs)
         except ValueError as exc:
             raise ParseError(str(exc), source=where, field="sets") from exc
     if kind == "poset":

@@ -204,7 +204,7 @@ def powerset_functor(fs: FinSetCategory, budget: int = DEFAULT_BUDGET) -> Functo
         return _function_arrow_name(FiniteFunction(p_dom, p_cod, graph))
 
     arrow_map = {f: direct_image_name(f) for f in fs.all_arrows()}
-    return Functor(fs.category, target.category, object_map, arrow_map)
+    return Functor(fs, target, object_map, arrow_map)
 
 
 def monotone_as_functor(m: MonotoneMap) -> Functor:

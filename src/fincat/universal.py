@@ -56,9 +56,9 @@ class IsoCertificate:
 
 def find_terminals(C: FiniteCategory) -> list[ObjectId]:
     """All objects T with exactly one arrow into T from every object."""
-    return [
-        t for t in C.objects if all(len(C.hom(a, t)) == 1 for a in C.objects)
-    ]
+    K = C.kernel()
+    span = range(len(K.objects))
+    return [K.objects[t] for t in span if all(len(K.homs[a][t]) == 1 for a in span)]
 
 
 def terminal_iso_certificate(

@@ -1,13 +1,15 @@
 """String-keyed reference implementation of the category deciders.
 
 This is how `fincat.core.validate`, the arrow predicates,
-`fincat.core.materialize`, `fincat.universal.find_products`,
-`fincat.nno.nno_search` and `fincat.functors.check_functoriality` worked
-before the deciders moved to the integer kernel: every composite is a
-lookup in the compose dict keyed by name pairs, or a call to the view's
-`compose`, and the structure check and the law checks scan every pair of
-arrows.  `ReferenceMat` is the matrix view as it was before it composed by
-code.  It is all slow but transparently correct, and the property tests
+`fincat.core.materialize`, `fincat.universal.find_terminals`,
+`fincat.universal.find_products`, `fincat.nno.nno_search` and
+`fincat.functors.check_functoriality` worked before the deciders moved to
+the integer kernel: every composite is a lookup in the compose dict keyed
+by name pairs, or a call to the view's `compose`, and the structure check
+and the law checks scan every pair of arrows.  `ReferenceMat` is the matrix
+view as it was before it composed by code, and `poset_as_category` and
+`monoid_as_category` are the builders as they were before they built
+kernel rows.  It is all slow but transparently correct, and the property tests
 compare the kernel deciders against it.  It is not part of the package.
 
 Two departures from the old code, both where it was not deterministic or
@@ -33,10 +35,10 @@ from fincat.core import (
     Violation,
     _Budget,
 )
-from fincat.errors import MalformedMap, MalformedTable, UnknownArrow, UnknownObject
+from fincat.errors import InvalidMonoid, MalformedMap, MalformedTable, UnknownArrow, UnknownObject
 from fincat.functors import Functor
 from fincat.nno import NnoSearchResult
-from fincat.universal import Cone, ProductCertificate, find_terminals
+from fincat.universal import Cone, ProductCertificate
 
 
 def _check_structure(C: FiniteCategory) -> None:
@@ -191,6 +193,13 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
                         ProductCertificate(Cone(apex, p1, p2), mediators)
                     )
     return certificates
+
+
+def find_terminals(C: FiniteCategory) -> list[ObjectId]:
+    """All objects T with exactly one arrow into T from every object."""
+    return [
+        t for t in C.objects if all(len(C.hom(a, t)) == 1 for a in C.objects)
+    ]
 
 
 def nno_search(C: FiniteCategory) -> NnoSearchResult:
@@ -451,3 +460,15 @@ def poset_as_category(P) -> FiniteCategory:
         for c, g in out[f.cod].items():
             composition[(g, f.name)] = out[f.dom][c]
     return FiniteCategory(tuple(P.elements), tuple(arrows), identities, composition)
+
+
+def monoid_as_category(M, object_name: str = "*") -> FiniteCategory:
+    """One-object category of a monoid, its compose table a dict of products."""
+    witness = M.law_violation()
+    if witness is not None:
+        raise InvalidMonoid(f"monoid law broken: {witness!r}", witness=witness)
+    arrows = tuple(Arrow(e, object_name, object_name) for e in M.elements)
+    composition = {
+        (g, f): M.mult[(g, f)] for g in M.elements for f in M.elements
+    }
+    return FiniteCategory((object_name,), arrows, {object_name: M.unit}, composition)

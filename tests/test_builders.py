@@ -13,8 +13,9 @@ from fincat.builders import (
     poset_as_category,
     poset_from_category,
 )
-from fincat.core import find_inverse, is_epic, is_monic, materialize, validate
+from fincat.core import FiniteCategory, find_inverse, is_epic, is_monic, materialize, validate
 from fincat.errors import EnumerationBudgetExceeded, InvalidMonoid
+from fincat.formats import dump_category, parse_category
 from fincat.galois import FinitePoset
 
 DOT = NamedFiniteSet("Dot", ("*",))
@@ -221,6 +222,13 @@ class TestCanonicalNaming:
         b = build_finset([DOT, TWO])
         assert a.category == b.category
 
+    def test_finset_and_finrel_are_finite_categories(self):
+        for built in (build_finset([DOT, TWO]), build_finrel([DOT, TWO])):
+            assert isinstance(built, FiniteCategory) and built.category is built
+            plain = FiniteCategory(built.objects, built.arrows, dict(built.identities), dict(built.composition))
+            assert built == plain and plain == built
+            assert parse_category(dump_category(built)) == built
+
     def test_identity_name_matches_identity_table(self):
         fs = build_finset([TWO])
         assert fs.identity("Two") == "Two->Two{0:0,1:1}"
@@ -248,9 +256,10 @@ class TestCompositionTables:
             lambda: build_finset(TestCompositionTables.SETS[:3]).category,
             lambda: build_finrel(TestCompositionTables.SETS[:3]).category,
             lambda: poset_as_category(diamond()),
+            lambda: monoid_as_category(FiniteMonoid.cyclic(3)),
             lambda: materialize(build_mat(2, 2)),
         ],
-        ids=["finset", "finrel", "poset", "mat"],
+        ids=["finset", "finrel", "poset", "monoid", "mat"],
     )
     def test_compose_table_lists_pairs_in_arrow_order(self, build):
         C = build()

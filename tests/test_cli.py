@@ -41,6 +41,38 @@ class TestExitCodes:
         code, out = invoke("validate", FIXTURES / "does_not_exist.json")
         assert code == 2
 
+    def test_terminal_on_a_partial_compose_table_is_an_error(self, tmp_path):
+        doc = json.loads((FIXTURES / "twochain.json").read_text())
+        doc["compose"] = [{"after": "id_top", "then": "u", "is": "u"}]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        code, out = invoke("terminal", path)
+        assert code == 2
+        assert "compose table is partial: missing entry for ('id_bot', 'id_bot')" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nno-demo", FIXTURES / "recursion.json", "--n", "-1"),
+            ("fo-eval", FIXTURES / "structure.json", "--formula", "E(v1,v2)", "--context", "-1"),
+        ],
+        ids=["nno-demo", "fo-eval"],
+    )
+    def test_negative_counts_are_errors(self, argv):
+        code, out = invoke(*argv)
+        assert code == 2
+        assert out == f"error: {argv[-2]} must be nonnegative, got -1\n"
+
+    def test_unreadable_files_are_errors(self, tmp_path):
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b"\xff{}")
+        null_path = tmp_path / "null_path.json"
+        null_path.write_text(json.dumps({"dom": "\x00", "cod": "\x00", "graph": {}}))
+        for argv in (("validate", not_utf8), ("adjoints", null_path)):
+            code, out = invoke(*argv)
+            assert code == 2
+            assert "cannot read file" in out
+
     def test_fail_reports_carry_witnesses(self):
         code, out = invoke("--json", "validate", FIXTURES / "twochain_broken.json")
         assert code == 1
@@ -120,6 +152,17 @@ class TestVerbs:
         code, out = invoke("nno-demo", FIXTURES / "recursion.json", "--n", "4")
         assert code == 0
         assert "h(4) = 1" in out
+
+    def test_nno_demo_trace_is_the_iteration(self):
+        from fincat.formats import load_recursion_data
+        from fincat.nno import primrec_eval
+
+        data = load_recursion_data(FIXTURES / "recursion.json")
+        for n in (0, 1, 7):
+            code, out = invoke("--json", "nno-demo", FIXTURES / "recursion.json", "--n", n)
+            assert code == 0
+            trace = json.loads(out)["payload"]["trace"]
+            assert trace == {str(i): primrec_eval(data, i) for i in range(n + 1)}
 
     def test_builders_dump_reparses_to_the_same_category(self):
         code, out = invoke("--json", "builders", FIXTURES / "monoid_z2.json")

@@ -1,9 +1,10 @@
-"""`fincat` verbs on generated category and functor documents: free-form JSON
-(wrong types, missing fields, dangling names) and dumps of small lawful
-categories with entries rebound, deleted or pointed at unknown names.
-Whatever the input, validate, predicates, products, terminal and
-functor-check must end in exit code 0, 1 or 2, never in an uncaught
-exception."""
+"""`fincat` verbs on generated documents: free-form category and functor
+JSON (wrong types, missing fields, dangling names), dumps of small lawful
+categories with entries rebound, deleted or pointed at unknown names, and
+recursion data, structures, frames, monotone maps and builder files of
+wrong shapes, with generated counts, caps, budgets and formula text.
+Whatever the input, every verb that reads a file must end in exit code 0,
+1 or 2, never in an uncaught exception."""
 
 import io
 import json
@@ -11,7 +12,7 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fincat.builders import FiniteMonoid, NamedFiniteSet, build_finset, monoid_as_category, poset_as_category
@@ -147,3 +148,168 @@ def test_products_end_in_an_exit_code(doc, a, b):
 @given(functors())
 def test_functor_check_ends_in_an_exit_code(doc):
     assert exit_code(doc, "functor-check") in (0, 1, 2)
+
+
+# -- the verbs on files other than categories ----------------------------
+
+ELEMENTS = ["a", "b", "c"]
+
+
+def names(values):
+    """Usually one of ``values``, sometimes a name that is not among them."""
+    return st.sampled_from(list(values) * 5 + ["z"])
+
+
+def sublists(values, min_size=0):
+    return st.lists(st.sampled_from(values), unique=True, min_size=min_size, max_size=len(values))
+
+
+@st.composite
+def spoiled(draw, documents):
+    """A drawn document, sometimes with one field dropped or replaced by junk."""
+    doc = draw(documents)
+    if isinstance(doc, dict) and doc and draw(st.integers(0, 2)) == 2:
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(junk)
+    return doc
+
+
+@st.composite
+def recursion_docs(draw):
+    carrier = draw(sublists(ELEMENTS, 1))
+    return {
+        "carrier": carrier,
+        "c": draw(names(carrier)),
+        "f": {x: draw(names(carrier)) for x in draw(sublists(carrier))},
+    }
+
+
+@st.composite
+def structure_docs(draw):
+    carrier = draw(sublists(ELEMENTS, 1))
+    relations = {}
+    for name, arity in (("E", 2), ("P", 1)):
+        width = draw(st.sampled_from([arity] * 5 + [arity + 1]))
+        tuples = draw(st.lists(st.lists(names(carrier), min_size=width, max_size=width), max_size=4))
+        relations[name] = {"arity": arity, "tuples": tuples}
+    return {"carrier": carrier, "relations": relations}
+
+
+@st.composite
+def frame_docs(draw):
+    worlds = draw(sublists(ELEMENTS))
+    pairs = st.lists(names(worlds or ["z"]), min_size=2, max_size=2)
+    return {
+        "worlds": worlds,
+        "access": draw(st.lists(pairs, max_size=4)),
+        "valuation": {atom: draw(st.lists(names(worlds or ["z"]), max_size=3)) for atom in draw(sublists(["p", "q"]))},
+    }
+
+
+@st.composite
+def poset_docs(draw):
+    elements = draw(sublists(ELEMENTS))
+    return {"elements": elements, "leq": draw(st.lists(st.lists(names(elements or ["z"]), min_size=2, max_size=2), max_size=3))}
+
+
+def element_names(poset) -> list:
+    """The string elements of a (possibly spoiled) poset document."""
+    elements = poset.get("elements") if isinstance(poset, dict) else None
+    return [x for x in elements if isinstance(x, str)] if isinstance(elements, list) else []
+
+
+@st.composite
+def map_docs(draw):
+    dom, cod = draw(spoiled(poset_docs())), draw(spoiled(poset_docs()))
+    graph = {x: draw(names(element_names(cod) or ["z"])) for x in element_names(dom)}
+    return {"dom": dom, "cod": cod, "graph": graph}
+
+
+@st.composite
+def builder_docs(draw):
+    kind = draw(st.sampled_from(["finset", "finrel", "poset", "monoid", "mat", "ghost"]))
+    if kind in ("finset", "finrel"):
+        sets = [{"name": name, "elements": draw(sublists(ELEMENTS))} for name in draw(st.lists(names(["X", "Y"]), max_size=3))]
+        return {"builder": kind, "sets": sets}
+    if kind == "poset":
+        return {"builder": kind, **draw(poset_docs())}
+    if kind == "monoid":
+        elements = draw(sublists(ELEMENTS, 1))
+        mult = [[draw(names(elements)) for _ in elements] for _ in draw(st.sampled_from([elements, elements, elements[1:]]))]
+        return {"builder": kind, "elements": elements, "unit": draw(names(elements)), "mult": mult}
+    if kind == "mat":
+        return {"builder": kind, "p": draw(st.integers(-1, 5)), "max_dim": draw(st.integers(-1, 2))}
+    return {"builder": kind}
+
+
+counts = st.integers(-3, 6)
+
+
+def formula_texts(atoms, prefixes, quantifiers):
+    """Formulas over ``atoms`` built with the connectives, the ``prefixes``
+    and the ``quantifiers`` (binding v1 to v3), token soup, or any text."""
+    well_formed = st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(prefixes), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, st.sampled_from(["&", "|", "->"]), inner).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(st.sampled_from(quantifiers), st.integers(1, 3), inner).map(lambda t: f"{t[0]} v{t[1]}. {t[2]}"),
+        ),
+        max_leaves=4,
+    )
+    tokens = atoms + ["(", ")", "v0", "v1", ",", ".", "!", "&", "|", "->", "box", "dia", "forall", "exists", "?"]
+    return st.one_of(
+        well_formed,
+        well_formed,
+        st.lists(st.sampled_from(tokens), max_size=8).map(" ".join),
+        st.text(max_size=6),
+    )
+
+
+first_order_texts = formula_texts(["E(v1,v2)", "E(v2,v1)", "P(v1)", "P(v2)", "P(v3)", "E(v1)", "p"], ["!"], ["forall", "exists"])
+modal_texts = formula_texts(["p", "q", "r", "P(v1)"], ["!", "box ", "dia "], ["forall"])
+
+
+@SETTINGS
+@given(spoiled(recursion_docs()), counts)
+@example({"carrier": ["0", "1"], "c": "0", "f": {"0": "1", "1": "0"}}, -1)
+def test_nno_demo_ends_in_an_exit_code(doc, n):
+    assert exit_code(doc, "nno-demo", "--n", str(n)) in (0, 1, 2)
+
+
+@SETTINGS
+@given(spoiled(structure_docs()), first_order_texts, counts)
+@example({"carrier": ["a", "b"], "relations": {"E": {"arity": 2, "tuples": [["a", "b"]]}}}, "E(v1,v2)", -1)
+def test_fo_eval_ends_in_an_exit_code(doc, formula, context):
+    assert exit_code(doc, "fo-eval", f"--formula={formula}", "--context", str(context)) in (0, 1, 2)
+
+
+@SETTINGS
+@given(spoiled(frame_docs()), modal_texts)
+def test_modal_eval_ends_in_an_exit_code(doc, formula):
+    assert exit_code(doc, "modal-eval", f"--formula={formula}") in (0, 1, 2)
+
+
+@SETTINGS
+@given(spoiled(frame_docs()), st.sampled_from(["p", "q", "r", ""]), st.none() | counts)
+def test_wp_ends_in_an_exit_code(doc, target, cap):
+    cap_flag = [] if cap is None else ["--cap", str(cap)]
+    assert exit_code(doc, "wp", f"--target={target}", *cap_flag) in (0, 1, 2)
+
+
+@SETTINGS
+@given(spoiled(map_docs()))
+@example({"dom": "\x00", "cod": "\x00", "graph": {}})
+def test_adjoints_end_in_an_exit_code(doc):
+    assert exit_code(doc, "adjoints") in (0, 1, 2)
+
+
+@SETTINGS
+@given(spoiled(builder_docs()), st.none() | counts, st.none() | st.integers(-1, 200))
+def test_builders_end_in_an_exit_code(doc, cap, budget):
+    flags = [] if cap is None else ["--cap", str(cap)]
+    flags += [] if budget is None else ["--budget", str(budget)]
+    assert exit_code(doc, "builders", *flags) in (0, 1, 2)

@@ -1,6 +1,6 @@
 """The kernel deciders against the string-keyed reference (`reference_core`)
-on small lawful tables -- posets, cyclic monoids, FinSet and FinRel on at
-most three sets of at most two elements -- and on broken copies of them:
+on small lawful tables -- posets, monoids, FinSet and FinRel on at most
+three sets of at most two elements -- and on broken copies of them:
 rebound composites (mistyped ones, and ones that repeat an id in a row or a
 column, included), deleted entries, dangling ids and entries for
 non-composable pairs.  The matrix views are compared with the view that
@@ -59,9 +59,39 @@ def _small_finrel(sets):
     return sum(2 ** (len(x.elements) * len(y.elements)) for x in sets for y in sets) <= 48
 
 
+@st.composite
+def monoids(draw, kinds=("cyclic", "maps", "table")):
+    """A cyclic monoid; the self-maps of a set of at most three elements
+    that some drawn maps generate under composition; or a table on at most
+    three elements with its unit's row and column fixed and the rest drawn,
+    which may break associativity.  The elements are listed in drawn order."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "cyclic":
+        return FiniteMonoid.cyclic(draw(st.integers(1, 5)))
+    k = draw(st.integers(1, 3))
+    if kind == "maps":
+        maps = {tuple(range(k))}
+        new = set(draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * k), max_size=2)))
+        while new:
+            maps |= new
+            new = {tuple(g[y] for y in f) for f in maps for g in maps} - maps
+        def label(m):
+            return "".join(map(str, m))
+
+        elements = tuple(label(m) for m in draw(st.permutations(sorted(maps))))
+        mult = {(label(g), label(f)): label([g[y] for y in f]) for f in maps for g in maps}
+        return FiniteMonoid(elements, label(range(k)), mult)
+    elements = draw(st.permutations(["e", "a", "b"][:k]))
+    mult = {}
+    for x in elements:
+        for y in elements:
+            mult[(x, y)] = y if x == "e" else x if y == "e" else draw(st.sampled_from(elements))
+    return FiniteMonoid(tuple(elements), "e", mult)
+
+
 lawful_categories = st.one_of(
     posets(),
-    st.integers(1, 5).map(lambda n: monoid_as_category(FiniteMonoid.cyclic(n))),
+    monoids(("cyclic", "maps")).map(monoid_as_category),
     named_sets().map(lambda sets: build_finset(sets).category),
     named_sets().filter(_small_finrel).map(lambda sets: build_finrel(sets).category),
 )
@@ -411,6 +441,31 @@ def test_row_backed_composition_is_a_read_only_dict(C, data):
     user = FiniteCategory(C.objects, C.arrows, dict(C.identities), plain)
     assert json.dumps(dump_category(C)) == json.dumps(dump_category(user))
     assert C == user
+
+
+@SETTINGS
+@given(monoids())
+def test_monoid_rows_match_the_dict_built_monoid(M):
+    new, old = outcome(lambda: monoid_as_category(M)), outcome(lambda: ref.monoid_as_category(M))
+    event(new[0])
+    if old[0] == "raised":
+        assert new == old
+        return
+    C, want = new[1], old[1]
+    assert (C.objects, C.arrows, C.identities) == (want.objects, want.arrows, want.identities)
+    assert C.kernel().rows == want.kernel().rows
+    assert dict(C.composition) == dict(want.composition)
+    assert validate(C) == validate(want)
+
+
+@SETTINGS
+@given(any_categories)
+def test_find_terminals_matches_the_reference(C):
+    if is_malformed(C):
+        with pytest.raises(MalformedTable):
+            universal.find_terminals(C)
+        return
+    assert universal.find_terminals(C) == ref.find_terminals(C)
 
 
 @SETTINGS
