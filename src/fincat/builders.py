@@ -2,9 +2,9 @@
 
 Covers: all functions between named finite sets, all relations, a poset as
 a thin category, a monoid as a one-object category, and matrices over a
-prime field as a lazily enumerated view.  Arrow names are canonical and
-deterministic (graphs serialized in element order) so fixtures reproduce
-byte for byte.
+prime field, whose composites are made by id as the deciders read them.
+Arrow names are canonical and deterministic (graphs serialized in element
+order) so fixtures reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -12,23 +12,21 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .core import (
     Arrow,
     ArrowId,
-    CategoryView,
     DEFAULT_BUDGET,
     FiniteCategory,
-    ObjectId,
+    Lazy,
     take,
 )
 from .errors import (
     EnumerationBudgetExceeded,
     InvalidMonoid,
     UnknownArrow,
-    UnknownObject,
 )
 from .galois import FinitePoset, bits
 
@@ -226,11 +224,6 @@ def _relation_arrow_name(rel: FiniteRelation) -> str:
     pairs = sorted(rel.pairs, key=lambda xy: (order[xy[0]], corder[xy[1]]))
     body = ",".join(f"({x},{y})" for x, y in pairs)
     return f"{rel.dom.name}->{rel.cod.name}{{{body}}}"
-
-
-def _matrix_name(m: MatrixOverZp) -> str:
-    body = ";".join(",".join(str(e) for e in row) for row in m.entries)
-    return f"{m.rows}x{m.cols}[{body}]"
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,164 +442,106 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MatCategory(CategoryView):
-    """Matrices over Z_p, hom-sets enumerated on demand.
+@dataclass(frozen=True, eq=False)
+class MatCategory(FiniteCategory):
+    """Matrices over Z_p between the dimensions 0..max_dim, as strings.
 
-    Objects are the dimensions 0..max_dim (as strings); hom(n, m) lists every
-    n x m matrix mod p in lexicographic entry order, so an arrow is its
-    dimensions and its index in that order, the base-p code of its entries.
-    The composite of M : n -> m followed by N : m -> k is the n x k matrix
-    product M·N, whose i-th row is the i-th row of M times N: composing reads
-    N's action on row vectors (the code of v to the code of v·N) at the codes
-    of the rows of M, and returns the name already listed in hom(n, k).  Each
-    hom-set is enumerated once, and a name is an arrow only if it is the
-    canonical rendering of its matrix.
+    hom(n, m) lists every n x m matrix mod p in lexicographic entry order,
+    so the id of an arrow is the offset of its hom plus the base-p code of
+    its entries, and its name renders the entries row by row.
     """
 
     p: int
     max_dim: int
-    _arrows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _homs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _actions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def objects(self) -> tuple[ObjectId, ...]:
-        return tuple(str(n) for n in range(self.max_dim + 1))
-
-    def _dim(self, a: ObjectId) -> int:
-        try:
-            n = int(a)
-        except ValueError:
-            raise UnknownObject(f"unknown object {a!r}") from None
-        if not 0 <= n <= self.max_dim:
-            raise UnknownObject(f"unknown object {a!r}")
-        return n
-
-    def _arrow(self, f: ArrowId) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(rows, cols, the code of each row, the entries) of an arrow name:
-        the name must be listed in the hom its dimensions name."""
-        known = self._arrows.get(f)
-        if known is None:
-            try:
-                n, m = map(int, f.split("[", 1)[0].split("x"))
-            except ValueError:
-                raise UnknownArrow(f"unknown arrow {f!r}") from None
-            if max(n, m) > self.max_dim:
-                raise UnknownArrow(f"arrow {f!r} exceeds dimension {self.max_dim}")
-            if min(n, m) >= 0:
-                self._hom(n, m)
-            known = self._arrows.get(f)
-            if known is None:
-                raise UnknownArrow(f"unknown arrow {f!r}")
-        return known
 
     def matrix(self, f: ArrowId) -> MatrixOverZp:
         """The matrix an arrow name renders."""
-        n, m, _, entries = self._arrow(f)
-        return MatrixOverZp(self.p, n, m, entries)
-
-    def _hom(self, n: int, m: int) -> tuple[ArrowId, ...]:
-        if (n, m) not in self._homs:
-            names = []
-            width = self.p ** m
-            for flat in itertools.product(range(self.p), repeat=n * m):
-                entries = tuple(flat[i * m : (i + 1) * m] for i in range(n))
-                name = f"{n}x{m}[" + ";".join(",".join(map(str, row)) for row in entries) + "]"
-                codes = tuple(len(names) // width ** (n - 1 - i) % width for i in range(n))
-                self._arrows[name] = (n, m, codes, entries)
-                names.append(name)
-            self._homs[(n, m)] = tuple(names)
-        return self._homs[(n, m)]
-
-    def _action(self, g: ArrowId) -> list[int]:
-        """The code of v·N for every row vector v, by code, where N is g's matrix."""
-        action = self._actions.get(g)
-        if action is None:
-            rows, cols, _, entries = self._arrow(g)
-            columns = list(zip(*entries)) if rows else [()] * cols
-            action = []
-            for v in itertools.product(range(self.p), repeat=rows):
-                code = 0
-                for column in columns:
-                    code = code * self.p + sum(map(operator.mul, v, column)) % self.p
-                action.append(code)
-            self._actions[g] = action
-        return action
-
-    def hom(self, a: ObjectId, b: ObjectId) -> tuple[ArrowId, ...]:
-        return self._hom(self._dim(a), self._dim(b))
-
-    def dom(self, f: ArrowId) -> ObjectId:
-        return str(self._arrow(f)[0])
-
-    def cod(self, f: ArrowId) -> ObjectId:
-        return str(self._arrow(f)[1])
-
-    def compose(self, g: ArrowId, f: ArrowId) -> ArrowId:
-        n, m, codes, _ = self._arrow(f)
-        m_g, k, _, _ = self._arrow(g)
-        if m != m_g:
-            raise ValueError(f"arrows not composable: {f!r} then {g!r}")
-        return self._hom(n, k)[_code(codes, self._action(g), self.p ** k)]
-
-    def row(self, g: ArrowId) -> tuple[ArrowId, ...]:
-        """The composites of g after every arrow into dom g, by code.
-
-        As the matrices M of hom(n, dom g) run through their codes in
-        order, the rows of M·N are the images of the rows of M under the
-        action of g's matrix N, so each n adds one comprehension over the
-        codes of n - 1."""
-        _, k, _, _ = self._arrow(g)
-        action = self._action(g)
-        width = self.p ** k
-        composites: list[ArrowId] = []
-        codes = [0]
-        for n in range(self.max_dim + 1):
-            if n:
-                codes = [code * width + image for code in codes for image in action]
-            composites.extend(map(self._hom(n, k).__getitem__, codes))
-        return tuple(composites)
-
-    def column(self, f: ArrowId) -> tuple[ArrowId, ...]:
-        n, m, codes, _ = self._arrow(f)
-        composites = []
-        for k in range(self.max_dim + 1):
-            products, width = self._hom(n, k), self.p ** k
-            composites.extend(
-                products[_code(codes, self._action(g), width)] for g in self._hom(m, k)
-            )
-        return tuple(composites)
-
-    def identity(self, a: ObjectId) -> ArrowId:
-        return _matrix_name(MatrixOverZp.identity(self.p, self._dim(a)))
-
-    def kernel(self):
-        """The view's kernel, made once: the view never changes."""
-        try:
-            return self._kernel
-        except AttributeError:
-            object.__setattr__(self, "_kernel", CategoryView.kernel(self))
-            return self._kernel
+        K = self.kernel()
+        i = K.arrow_id(f)
+        n, m = K.dom[i], K.cod[i]
+        flat = _digits(i - K.homs[n][m][0], self.p, n * m)
+        return MatrixOverZp(self.p, n, m, tuple(flat[r * m : (r + 1) * m] for r in range(n)))
 
 
-def _code(codes: tuple[int, ...], action: list[int], width: int) -> int:
-    """The code of the matrix whose rows are the images of ``codes``."""
-    code = 0
-    for row in codes:
-        code = code * width + action[row]
-    return code
+def _digits(code: int, base: int, count: int) -> tuple[int, ...]:
+    """The ``count`` base-``base`` digits of ``code``, most significant first."""
+    return tuple(code // base ** i % base for i in reversed(range(count)))
 
 
 def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory:
-    """Lazily enumerated category of matrices over the prime field Z_p."""
+    """Category of matrices over the prime field Z_p, dimensions 0..max_dim.
+
+    The composite of M : n -> m followed by N : m -> k is the n x k matrix
+    product M·N, whose i-th row is the i-th row of M times N.  Every arrow
+    is listed when the category is built, once their total count, the sum
+    of p^(n·m) over all pairs of dimensions, is within the budget; no
+    composite is.  The row and the column of an arrow are made by id the
+    first time a decider reads them, from the action of each arrow's matrix
+    N on row vectors (the code of v to the code of v·N), so a question about
+    one arrow computes only the composites it reads.
+    """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
-    if p ** (max_dim * max_dim) > budget:
-        raise EnumerationBudgetExceeded(
-            f"hom({max_dim}, {max_dim}) holds {p ** (max_dim * max_dim)} matrices, "
-            f"budget is {budget}"
-        )
-    return MatCategory(p, max_dim)
+    dims = range(max_dim + 1)
+    total = sum(p ** (n * m) for n in dims for m in dims)
+    if total > budget:
+        raise EnumerationBudgetExceeded(f"{total} matrices exceed the budget of {budget}")
+    objects = tuple(map(str, dims))
+    arrows: list[Arrow] = []
+    offset = [[0 for _ in dims] for _ in dims]  # offset[n][m]: id of the zero n x m matrix
+    for n in dims:
+        for m in dims:
+            offset[n][m] = len(arrows)
+            texts = [",".join(map(str, v)) for v in itertools.product(range(p), repeat=m)]
+            for rows in itertools.product(texts, repeat=n):
+                arrows.append(Arrow(f"{n}x{m}[{';'.join(rows)}]", objects[n], objects[m]))
+
+    def action(g: int) -> list[int]:
+        m, k = int(arrows[g].dom), int(arrows[g].cod)
+        flat = _digits(g - offset[m][k], p, m * k)
+        columns = [flat[c::k] for c in range(k)]
+        images = []
+        for v in itertools.product(range(p), repeat=m):
+            code = 0
+            for column in columns:
+                code = code * p + sum(map(operator.mul, v, column)) % p
+            images.append(code)
+        return images
+
+    actions = Lazy(action)
+
+    def row(g: int) -> tuple[int, ...]:
+        # As the matrices of hom(n, dom g) run through their codes, the rows
+        # of their products with g are the images of their rows, so each n
+        # adds one comprehension over the codes of n - 1.
+        k = int(arrows[g].cod)
+        images, width = actions[g], p ** k
+        composites: list[int] = []
+        codes = [0]
+        for n in dims:
+            if n:
+                codes = [code * width + image for code in codes for image in images]
+            start = offset[n][k]
+            composites.extend([start + code for code in codes])
+        return tuple(composites)
+
+    def column(f: int) -> tuple[int, ...]:
+        n, m = int(arrows[f].dom), int(arrows[f].cod)
+        rows = _digits(f - offset[n][m], p ** m, n)
+        composites = []
+        for k in dims:
+            start, width = offset[n][k], p ** k
+            for g in range(offset[m][k], offset[m][k] + p ** (m * k)):
+                images, code = actions[g], 0
+                for r in rows:
+                    code = code * width + images[r]
+                composites.append(start + code)
+        return tuple(composites)
+
+    # the identity on n has the row code p^j in row n - 1 - j
+    identity = [offset[n][n] + sum(p ** ((n + 1) * j) for j in range(n)) for n in dims]
+    return MatCategory.from_rows(
+        objects, tuple(arrows), identity, Lazy(row), column, p=p, max_dim=max_dim
+    )

@@ -55,13 +55,10 @@ def _human(report: Report, lines: list[str]) -> list[str]:
 
 
 def _load_category_arg(args) -> core.FiniteCategory:
-    """Read a category file, or run a builder file and materialize the result."""
+    """Read a category file, or run the builder a builder file names."""
     doc = formats.read_json(args.file)
     if isinstance(doc, dict) and "builder" in doc:
-        built = formats.parse_builder(
-            doc, where=str(args.file), cap=args.cap, budget=args.budget
-        )
-        return built if isinstance(built, core.FiniteCategory) else core.materialize(built, args.budget)
+        return formats.parse_builder(doc, where=str(args.file), cap=args.cap, budget=args.budget)
     return formats.parse_category(doc, where=str(args.file))
 
 

@@ -20,10 +20,12 @@ it, so a malformed table still constructs; deriving it checks the structure
 (dangling ids, a partial or overfull compose table) and raises
 :class:`MalformedTable` at the first problem.  The builders compose by id
 and hand their rows over through :meth:`FiniteCategory.from_rows`; such a
-category's ``composition`` is a read-only view of the rows.  Any other
-:class:`CategoryView` reaches the predicates through a kernel whose arrow
-ids are the view's own names, and every predicate charges an arrow-count
-budget so lazily enumerated categories cannot blow up silently.
+category's ``composition`` is a read-only view of the rows, which may be
+made on first use, as the matrix categories do.  Names are used only to
+read and report arrows, as in Catlab.jl's integer-indexed ``FinCat``
+(https://github.com/AlgebraicJulia/Catlab.jl).  A :class:`CategoryView`
+written by a user is read through :func:`materialize`, and every predicate
+charges an arrow-count budget so no search can blow up silently.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections.abc import ItemsView
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -58,7 +60,7 @@ class Arrow:
 
 
 class CategoryView:
-    """Enumerable interface onto a category.
+    """The interface :func:`materialize` reads to write a category out.
 
     Concrete views expose ``objects`` (a tuple attribute or property) plus the
     methods below.  Hom-sets must enumerate in a fixed deterministic order:
@@ -95,19 +97,16 @@ class CategoryView:
             return False
         return True
 
-    def row(self, g: ArrowId) -> tuple[ArrowId, ...]:
-        """g∘f for every f into dom g, objects in order, each hom in hom order."""
-        target = self.dom(g)
-        return tuple([self.compose(g, f) for z in self.objects for f in self.hom(z, target)])
-
-    def column(self, f: ArrowId) -> tuple[ArrowId, ...]:
-        """g∘f for every g out of cod f, objects in order, each hom in hom order."""
-        source = self.cod(f)
-        return tuple([self.compose(g, f) for z in self.objects for g in self.hom(source, z)])
-
-    def kernel(self) -> "Kernel | _ViewKernel":
-        """The tables the arrow predicates read; for a view, read through it."""
-        return _ViewKernel(self)
+    def kernel(self) -> "Kernel":
+        """The dense-id tables the deciders read, made on first use and kept:
+        a :class:`FiniteCategory`'s are read off its tables, and any other
+        view's are those of :func:`materialize` at the default budget."""
+        try:
+            return self._kernel
+        except AttributeError:
+            kernel = _read_tables(self) if isinstance(self, FiniteCategory) else materialize(self).kernel()
+            object.__setattr__(self, "_kernel", kernel)
+            return kernel
 
 
 @dataclass(frozen=True)
@@ -198,32 +197,25 @@ class FiniteCategory(CategoryView):
         """The category itself, for callers that read a builder's ``category``."""
         return self
 
-    def kernel(self) -> "Kernel":
-        """The dense-id tables, derived on first use and cached."""
-        try:
-            return self._kernel
-        except AttributeError:
-            kernel = _read_tables(self)
-            object.__setattr__(self, "_kernel", kernel)
-            return kernel
-
     @classmethod
     def from_rows(
         cls,
         objects: tuple[ObjectId, ...],
         arrows: tuple[Arrow, ...],
         identity: list[int],
-        rows: list[tuple[int, ...]],
+        rows: Sequence[tuple[int, ...]] | Lazy,
+        column: Callable[[int], tuple[int, ...]] | None = None,
         **fields,
     ) -> "FiniteCategory":
         """The category whose composites are given by id, as kernel rows.
 
         Arrow i is ``arrows[i]``, the identity of ``objects[k]`` is arrow
         ``identity[k]``, and ``rows[g]`` lists the id of g∘f for every f
-        into dom g, in arrow order.  The rows are trusted, so none of the
-        structure checks of user tables runs; ``composition`` is the
-        read-only :class:`Composites` view of them.  ``fields`` are the
-        extra fields of a subclass ``cls``.
+        into dom g, in arrow order; ``column`` is passed on to
+        :class:`Kernel`.  The rows are trusted, so none of the structure
+        checks of user tables runs; ``composition`` is the read-only
+        :class:`Composites` view of them.  ``fields`` are the extra fields
+        of a subclass ``cls``.
         """
         object_ids = {a: k for k, a in enumerate(objects)}
         kernel = Kernel(
@@ -233,6 +225,7 @@ class FiniteCategory(CategoryView):
             [object_ids[arr.cod] for arr in arrows],
             identity,
             rows,
+            column,
         )
         identities = {a: kernel.names[i] for a, i in zip(objects, identity)}
         C = cls(objects, arrows, identities, Composites(kernel), **fields)
@@ -271,7 +264,7 @@ def take(positions: list[int]) -> Callable[[tuple], tuple]:
     return lambda row: ()
 
 
-class _Lazy(dict):
+class Lazy(dict):
     """A dict that makes a missing entry with ``make`` and keeps it."""
 
     __slots__ = ("make",)
@@ -305,8 +298,11 @@ class Kernel:
     arrow order; ``pos[f]`` is f's index in ``into[cod f]`` and ``opos[f]``
     in ``out[dom f]``.  ``rows[g][pos[f]]`` is the id of g∘f: the row of g
     is its action by postcomposition on the arrows into its domain.
-    ``cols[f][opos[g]]`` is the same id, read as the column of f over the
-    arrows out of its codomain; columns are made on first use.
+    ``rows`` may be any table indexed by arrow id, such as a :class:`Lazy`
+    one that makes each row when it is first read.  ``cols[f][opos[g]]`` is
+    the same id, read as the column of f over the arrows out of its
+    codomain; columns are made on first use, by ``column(f)`` when it is
+    given and from the rows otherwise.
 
     The constructor takes the tables by id and checks nothing;
     :meth:`FiniteCategory.kernel` reads user tables with every structure
@@ -325,7 +321,8 @@ class Kernel:
         dom: list[int],
         cod: list[int],
         identity: list[int],
-        rows: list[tuple[int, ...]],
+        rows: Sequence[tuple[int, ...]] | Lazy,
+        column: Callable[[int], tuple[int, ...]] | None = None,
     ):
         into, pos = _lists(cod, len(objects))
         out, opos = _lists(dom, len(objects))
@@ -344,7 +341,7 @@ class Kernel:
         self.pos = pos
         self.opos = opos
         self.rows = rows
-        self.cols = _Lazy(lambda f: tuple([rows[g][pos[f]] for g in out[cod[f]]]))
+        self.cols = Lazy(column or (lambda f: tuple([rows[g][pos[f]] for g in out[cod[f]]])))
         self.identity = identity
 
     def arrow_id(self, f: ArrowId) -> int:
@@ -471,54 +468,6 @@ class _CompositeItems(ItemsView):
         return self._mapping._items()
 
 
-class _ViewKernel:
-    """The kernel interface of any :class:`CategoryView`, for the predicates.
-
-    Arrow ids are the view's own names, and object ids are positions in
-    ``objects``.  Hom lists, rows and columns are read from the view on
-    first use and kept; reading the row of g fills ``pos`` for the arrows
-    into dom g, and reading the column of f fills ``opos`` for the arrows
-    out of cod f.
-    """
-
-    def __init__(self, view: CategoryView):
-        objects = tuple(view.objects)
-        object_ids = {a: k for k, a in enumerate(objects)}
-        span = range(len(objects))
-        homs = [
-            _Lazy(lambda b, a=a: tuple(view.hom(objects[a], objects[b]))) for a in span
-        ]
-        dom = _Lazy(lambda f: object_ids[view.dom(f)])
-        cod = _Lazy(lambda f: object_ids[view.cod(f)])
-        pos: dict[ArrowId, int] = {}
-        opos: dict[ArrowId, int] = {}
-
-        def row(g: ArrowId) -> tuple[ArrowId, ...]:
-            into = (f for z in span for f in homs[z][dom[g]])
-            pos.update((f, i) for i, f in enumerate(into))
-            return view.row(g)
-
-        def column(f: ArrowId) -> tuple[ArrowId, ...]:
-            out = (g for z in span for g in homs[cod[f]][z])
-            opos.update((g, i) for i, g in enumerate(out))
-            return view.column(f)
-
-        self.objects = objects
-        self.names = _Lazy(lambda f: f)
-        self.dom = dom
-        self.cod = cod
-        self.homs = homs
-        self.pos = pos
-        self.opos = opos
-        self.rows = _Lazy(row)
-        self.cols = _Lazy(column)
-        self.identity = _Lazy(lambda a: view.identity(objects[a]))
-
-    def arrow_id(self, f: ArrowId) -> ArrowId:
-        self.dom[f]
-        return f
-
-
 def validate(C: FiniteCategory) -> AxiomReport:
     """Check the category axioms exhaustively and report every violation.
 
@@ -529,7 +478,8 @@ def validate(C: FiniteCategory) -> AxiomReport:
     """
     K = C.kernel()
     names, objects = K.names, K.objects
-    dom, cod, into, out, pos, rows = K.dom, K.cod, K.into, K.out, K.pos, K.rows
+    dom, cod, into, out, pos = K.dom, K.cod, K.into, K.out, K.pos
+    rows = [K.rows[g] for g in range(len(names))]
     violations: list[Violation] = []
 
     for a, i in enumerate(K.identity):
@@ -725,25 +675,31 @@ def is_groupoid(C: FiniteCategory, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def materialize(view: CategoryView, budget: int = DEFAULT_BUDGET) -> FiniteCategory:
-    """Write out a lazily enumerated view as explicit tables.
+    """The view as explicit tables.
 
-    The arrows are listed hom by hom in object order, each hom charged to
-    the budget; the view's :meth:`~CategoryView.row` of each arrow lists
-    its composites in that same order, and is turned into ids.  A view
+    A :class:`FiniteCategory` is returned as it is once its arrows are
+    charged to the budget.  Any other view is read hom by hom in object
+    order, each hom charged to the budget, and then composed with every
+    arrow into its domain, in that same order, to make its row.  A view
     whose identity or composite is not among the listed arrows raises
     :class:`MalformedTable`.
     """
-    objs = tuple(view.objects)
     meter = _Budget(budget)
+    if isinstance(view, FiniteCategory):
+        meter.charge(len(view.arrows))
+        return view
+    objs = tuple(view.objects)
     arrows: list[Arrow] = []
+    into: dict[ObjectId, list[ArrowId]] = {a: [] for a in objs}
     for a in objs:
         for b in objs:
             names = view.hom(a, b)
             meter.charge(len(names))
             arrows.extend(Arrow(n, a, b) for n in names)
+            into[b].extend(names)
     ids = {arr.name: i for i, arr in enumerate(arrows)}
     identities = [view.identity(a) for a in objs]
-    rows = [view.row(arr.name) for arr in arrows]
+    rows = [[view.compose(arr.name, f) for f in into[arr.dom]] for arr in arrows]
     for name in chain(identities, *rows):
         if name not in ids:
             raise MalformedTable(f"the view names the unknown arrow {name!r}")

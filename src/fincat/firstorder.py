@@ -94,13 +94,23 @@ def all_assignments(carrier: Universe, context: int) -> tuple:
     return tuple(itertools.product(carrier.elements, repeat=context))
 
 
-def tuple_universe(carrier: Universe, context: int, budget: int = DEFAULT_BUDGET) -> Universe:
-    """The universe of assignment tuples of a given context size."""
-    size = len(carrier.elements) ** context
+def _require_tuples(carrier: Universe, context: int, budget: int) -> None:
+    """Raise unless the |A|^context assignment tuples fit in the budget."""
+    base = len(carrier.elements)
+    if base > 1 and context > budget.bit_length():  # then 2^context > budget
+        raise EnumerationBudgetExceeded(
+            f"{base}^{context} assignment tuples exceed the budget of {budget}"
+        )
+    size = base ** context
     if size > budget:
         raise EnumerationBudgetExceeded(
             f"{size} assignment tuples exceed the budget of {budget}"
         )
+
+
+def tuple_universe(carrier: Universe, context: int, budget: int = DEFAULT_BUDGET) -> Universe:
+    """The universe of assignment tuples of a given context size."""
+    _require_tuples(carrier, context, budget)
     return NamedFiniteSet(
         f"{carrier.name}^{context}", all_assignments(carrier, context)
     )
@@ -126,11 +136,7 @@ def projection_adjoints(carrier: Universe, context: int, budget: int = DEFAULT_B
     first-order evaluator re-derives them through direct_image and
     universal_image and insists the answers agree.
     """
-    size = len(carrier.elements) ** (context + 1)
-    if size > budget:
-        raise EnumerationBudgetExceeded(
-            f"{size} assignment tuples exceed the budget of {budget}"
-        )
+    _require_tuples(carrier, context + 1, budget)
     smaller = all_assignments(carrier, context)
 
     def exists_op(s: AssignmentSet) -> AssignmentSet:
@@ -234,11 +240,8 @@ def tarski_denotation(
     extension clause and as the corresponding adjoint of inverse image along
     the projection -- and the two answers must coincide.
     """
+    _require_tuples(m.carrier, context, budget)
     universe_tuples = all_assignments(m.carrier, context)
-    if len(universe_tuples) > budget:
-        raise EnumerationBudgetExceeded(
-            f"{len(universe_tuples)} assignment tuples exceed the budget of {budget}"
-        )
     if isinstance(formula, Atom):
         rel = _atom_relation(m, formula, context)
         members = frozenset(

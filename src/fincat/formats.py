@@ -163,7 +163,7 @@ def _parse_named_sets(value: Any, where: str) -> list[NamedFiniteSet]:
 
 
 def parse_builder(doc: Any, where: str = "builder", cap: int | None = None, budget: int | None = None):
-    """Run the builder named in the document and return its category/view."""
+    """Run the builder named in the document and return its category."""
     if not isinstance(doc, dict) or "builder" not in doc:
         raise ParseError("missing field 'builder'", source=where)
     kind = doc["builder"]

@@ -73,6 +73,15 @@ class Exists:
 Formula = Union[Atom, Not, And, Or, Implies, Box, Dia, Forall, Exists]
 
 _KEYWORDS = {"box", "dia", "forall", "exists"}
+_PREFIXES = {"!": Not, "box": Box, "dia": Dia}
+
+#: The deepest formula :func:`parse_formula` accepts.  The parser goes one
+#: level down for a prefix operator or the right side of ``->``, four for a
+#: quantifier body (implication, disjunction, conjunction and the prefixes
+#: each take a call) and five for a parenthesised group; and no atom may sit
+#: under more than this many operators, as the evaluators recurse once per
+#: operator.  Both then stay well inside Python's default recursion limit.
+MAX_DEPTH = 900
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<punct>[()!&|,.])|(?P<name>[A-Za-z_][A-Za-z_0-9]*))"
@@ -106,6 +115,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -125,6 +135,12 @@ class _Parser:
             )
         return tok
 
+    def nest(self, levels: int) -> None:
+        """Go ``levels`` parser levels down, or raise beyond MAX_DEPTH."""
+        self.depth += levels
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels")
+
     def parse(self) -> Formula:
         formula = self.implies()
         if self.pos != len(self.tokens):
@@ -136,7 +152,10 @@ class _Parser:
         left = self.disjunction()
         if self.peek() == "->":
             self.next()
-            return Implies(left, self.implies())
+            self.nest(1)
+            right = self.implies()
+            self.depth -= 1
+            return Implies(left, right)
         return left
 
     def disjunction(self) -> Formula:
@@ -155,20 +174,19 @@ class _Parser:
 
     def unary(self) -> Formula:
         kind = self.peek()
-        if kind == "!":
+        if kind in _PREFIXES:
             self.next()
-            return Not(self.unary())
-        if kind == "box":
-            self.next()
-            return Box(self.unary())
-        if kind == "dia":
-            self.next()
-            return Dia(self.unary())
+            self.nest(1)
+            body = self.unary()
+            self.depth -= 1
+            return _PREFIXES[kind](body)
         if kind in ("forall", "exists"):
             _, word, _ = self.next()
             var = self.variable()
             self.expect(".")
+            self.nest(4)
             body = self.implies()
+            self.depth -= 4
             return Forall(var, body) if word == "forall" else Exists(var, body)
         return self.primary()
 
@@ -188,7 +206,9 @@ class _Parser:
         kind = self.peek()
         if kind == "(":
             self.next()
+            self.nest(5)
             inner = self.implies()
+            self.depth -= 5
             self.expect(")")
             return inner
         tok = self.expect("name")
@@ -204,8 +224,12 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the documented syntax into a formula tree."""
-    return _Parser(text).parse()
+    """Parse the documented syntax into a formula tree; a formula nested
+    deeper than :data:`MAX_DEPTH` raises ParseError."""
+    formula = _Parser(text).parse()
+    if formula_depth(formula) - 1 > MAX_DEPTH:
+        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels")
+    return formula
 
 
 def formula_to_text(formula: Formula) -> str:
@@ -241,14 +265,16 @@ def _wrap(formula: Formula) -> str:
 
 
 def formula_depth(formula: Formula) -> int:
-    """Tree depth with atoms at depth 1."""
-    if isinstance(formula, Atom):
-        return 1
-    if isinstance(formula, (Not, Box, Dia)):
-        return 1 + formula_depth(formula.body)
-    if isinstance(formula, (Forall, Exists)):
-        return 1 + formula_depth(formula.body)
-    return 1 + max(formula_depth(formula.left), formula_depth(formula.right))
+    """Tree depth with atoms at depth 1, found without recursion."""
+    deepest, stack = 0, [(formula, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, (Not, Box, Dia, Forall, Exists)):
+            stack.append((node.body, depth + 1))
+        elif not isinstance(node, Atom):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
 
 
 def max_variable_index(formula: Formula) -> int:

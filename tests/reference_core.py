@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from fincat.builders import MatrixOverZp, _matrix_name
+from fincat.builders import MatrixOverZp
 from fincat.core import (
     DEFAULT_BUDGET,
     Arrow,
@@ -393,6 +393,11 @@ def materialize(view: CategoryView, budget: int = DEFAULT_BUDGET) -> FiniteCateg
         for g in out[f.cod]:
             composition[(g, f.name)] = view.compose(g, f.name)
     return FiniteCategory(objs, tuple(arrows), identities, composition)
+
+
+def _matrix_name(m: MatrixOverZp) -> str:
+    body = ";".join(",".join(str(e) for e in row) for row in m.entries)
+    return f"{m.rows}x{m.cols}[{body}]"
 
 
 class ReferenceMat(CategoryView):

@@ -13,7 +13,16 @@ from fincat.builders import (
     poset_as_category,
     poset_from_category,
 )
-from fincat.core import FiniteCategory, find_inverse, is_epic, is_monic, materialize, validate
+from fincat.core import (
+    FiniteCategory,
+    epic_counterexample,
+    find_inverse,
+    is_epic,
+    is_monic,
+    materialize,
+    monic_counterexample,
+    validate,
+)
 from fincat.errors import EnumerationBudgetExceeded, InvalidMonoid
 from fincat.formats import dump_category, parse_category
 from fincat.galois import FinitePoset
@@ -214,6 +223,24 @@ class TestMat:
     def test_budget(self):
         with pytest.raises(EnumerationBudgetExceeded):
             build_mat(2, 5)
+        total = sum(3 ** (n * m) for n in range(3) for m in range(3))
+        assert len(build_mat(3, 2, budget=total).arrows) == total == 107
+        with pytest.raises(EnumerationBudgetExceeded, match="107 matrices exceed the budget of 106"):
+            build_mat(3, 2, budget=total - 1)
+
+    def test_one_arrow_of_a_large_category_reads_only_its_composites(self):
+        # 74,963 arrows and about 4.9e9 composites: the predicates on one
+        # arrow make its row and column, and nothing else
+        mat = build_mat(2, 4)
+        assert isinstance(mat, FiniteCategory) and len(mat.arrows) == 74963
+        assert monic_counterexample(mat, "1x1[1]") is None
+        assert epic_counterexample(mat, "1x1[1]") is None
+        assert find_inverse(mat, "1x1[1]") == "1x1[1]"
+        assert monic_counterexample(mat, "1x1[0]") == ("1x1[0]", "1x1[1]")
+        assert epic_counterexample(mat, "1x1[0]") == ("1x1[0]", "1x1[1]")
+        assert find_inverse(mat, "1x1[0]") is None
+        K = mat.kernel()
+        assert len(K.rows) == len(K.cols) == 2
 
 
 class TestCanonicalNaming:

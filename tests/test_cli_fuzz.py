@@ -12,6 +12,7 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -313,3 +314,42 @@ def test_builders_end_in_an_exit_code(doc, cap, budget):
     flags = [] if cap is None else ["--cap", str(cap)]
     flags += [] if budget is None else ["--budget", str(budget)]
     assert exit_code(doc, "builders", *flags) in (0, 1, 2)
+
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+TOO_DEEP = "error: formula nested deeper than 900 levels\n"
+
+
+def output(verb, fixture, *extra) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run([verb, str(FIXTURES / fixture), *extra])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("fo-eval", "structure.json", "--formula=E(v1,v2)", "--context", "30"),
+            "error: 2^30 assignment tuples exceed the budget of 100000\n",
+        ),
+        (
+            ("fo-eval", "structure.json", "--formula=E(v1,v2)", "--context", "20000"),
+            "error: 2^20000 assignment tuples exceed the budget of 100000\n",
+        ),
+        (("modal-eval", "frame.json", "--formula=" + "!" * 2000 + "p"), TOO_DEEP),
+        (("fo-eval", "structure.json", "--formula=" + "(" * 300 + "E(v1,v1)" + ")" * 300, "--context", "1"), TOO_DEEP),
+        (("modal-eval", "frame.json", "--formula=" + " -> ".join(["p"] * 2000)), TOO_DEEP),
+        (("modal-eval", "frame.json", "--formula=" + " & ".join(["p"] * 2000)), TOO_DEEP),
+    ],
+    ids=["context-30", "context-20000", "2000-negations", "300-parentheses", "2000-implications", "2000-conjunctions"],
+)
+def test_oversized_inputs_are_refused_before_they_are_evaluated(argv, message):
+    assert output(*argv) == (2, message)
+
+
+def test_900_negations_still_evaluate():
+    code, out = output("modal-eval", "frame.json", "--formula=" + "!" * 900 + "p")
+    assert code == 0
+    assert out.split(" = ")[1] == output("modal-eval", "frame.json", "--formula=p")[1].split(" = ")[1]

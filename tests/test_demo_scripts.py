@@ -1,11 +1,17 @@
+import io
 import re
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+from fincat.cli import run
+
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
@@ -18,9 +24,20 @@ def test_demo_script_runs_clean(script):
 
 
 def test_readme_library_tour_runs():
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
     assert len(blocks) == 1
     namespace: dict = {}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert namespace["validate"](namespace["fs"]).ok
+
+
+def test_readme_command_lines_exit_0(monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", readme, flags=re.S | re.M).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 12 and all(argv[0] == "fincat" for argv in commands)
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        with redirect_stdout(io.StringIO()):
+            assert run(argv[1:]) == 0, argv
