@@ -13,28 +13,20 @@ from fincat import (
     right_adjoint,
     verify_adjunction,
 )
-from fincat.galois import approximation_report, floor_ceiling_demo, integer_grid_inclusion
+from fincat.demos import run_demo
+from fincat.galois import approximation_report, integer_grid_inclusion
 
-inclusion = integer_grid_inclusion(3, 2)
-ceiling = left_adjoint(inclusion)
-floor = right_adjoint(inclusion)
-
-print("point  ceiling  floor")
-for label in inclusion.cod.elements:
-    print(f"{label:>5}  {ceiling(label):>7}  {floor(label):>5}")
+# The packaged walkthrough: both adjoints, checked against arithmetic.
+print("\n".join(run_demo("floor-ceiling")))
 print()
 
 # The defining equivalence holds on every (integer, grid point) pair; the
 # certificate also re-checks the derived laws such as f.g.f = f.
-cert = verify_adjunction(ceiling, inclusion)
+inclusion = integer_grid_inclusion(5, 2)
+cert = verify_adjunction(left_adjoint(inclusion), inclusion)
 print("ceiling -| inclusion verified on", cert.verified_on, "pairs")
-cert = verify_adjunction(inclusion, floor)
+cert = verify_adjunction(inclusion, right_adjoint(inclusion))
 print("inclusion -| floor verified on", cert.verified_on, "pairs")
-print()
-
-# Checked against arithmetic, including the negative convention.
-report = floor_ceiling_demo(5, 2)
-print("floor/ceiling agree with arithmetic on all grid points:", report.ok)
 print()
 
 # Surjectivity is not enough for an adjoint: map an antichain onto a point

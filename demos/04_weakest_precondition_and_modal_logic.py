@@ -1,5 +1,5 @@
-"""One operator, two readings: necessity over Kripke frames and the weakest
-precondition of a nondeterministic program.
+"""One operator, two readings: the weakest precondition of a
+nondeterministic program and necessity over Kripke frames.
 
 [R]T collects the points whose R-successors all land in T.  It is the right
 adjoint of the relational post-image, and that adjunction is checked over
@@ -11,34 +11,26 @@ from fincat import (
     KripkeFrame,
     NamedFiniteSet,
     SubsetOf,
-    box,
-    check_box_adjunction,
     eval_modal,
     parse_formula,
-    relation_post_image,
 )
+from fincat.demos import run_demo
 
+# The packaged walkthrough: [R]T and its left adjoint on two states.
+print("\n".join(run_demo("wp")))
+print()
+
+# The same operator drives the usual possible-worlds semantics.
 states = NamedFiniteSet("states", ("1", "2", "3"))
 program = FiniteRelation(
     states, states, frozenset({("1", "2"), ("2", "2"), ("3", "1"), ("3", "3")})
 )
-safe = SubsetOf.of(states, ["2"])
-
-print("program steps:", sorted(program.pairs))
-print("target predicate:", safe.sorted_members())
-print("weakest precondition [R]T:", box(program, safe).sorted_members())
-print("post-image of {3}:", relation_post_image(program, SubsetOf.of(states, ["3"])).sorted_members())
-
-check = check_box_adjunction(program)
-print(f"post -| [R] verified on {check.checked} subset pairs:", check.ok)
-print()
-
-# The same operator drives the usual possible-worlds semantics.
 frame = KripkeFrame(
     states,
     program,
     {"p": SubsetOf.of(states, ["2"]), "q": SubsetOf.of(states, ["1", "3"])},
 )
+print("accessibility:", sorted(program.pairs))
 for text in ("box p", "dia p", "box (p | q)", "q -> box p"):
     value = eval_modal(frame, parse_formula(text))
     print(f"worlds satisfying {text!r}:", value.sorted_members())

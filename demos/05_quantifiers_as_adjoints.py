@@ -5,13 +5,9 @@ Implication gets the same treatment on subsets (Boolean) and on down-sets
 of a poset (intuitionistic), where it is the right adjoint of meet.
 """
 
-import itertools
-
 from fincat import (
     FinitePoset,
     FiniteFunction,
-    FORelation,
-    FOStructure,
     NamedFiniteSet,
     SubsetOf,
     boolean_implication,
@@ -20,11 +16,9 @@ from fincat import (
     direct_image,
     heyting_implication,
     inverse_image,
-    parse_formula,
-    satisfies,
-    tarski_denotation,
     universal_image,
 )
+from fincat.demos import run_demo
 from fincat.logic import down_sets
 
 # The three images of a single function form an adjoint triple.
@@ -38,26 +32,8 @@ print("inverse image of {0}:  ", inverse_image(collapse, SubsetOf.of(zero, ["0"]
 print("triple adjunction over all subset pairs:", check_quantifier_adjunctions(collapse).ok)
 print()
 
-# Tarskian denotations; each quantifier step is internally double-checked
-# against the projection adjoints.
-carrier = NamedFiniteSet("A", ("a", "b", "c"))
-m = FOStructure(
-    carrier, {"E": FORelation(2, frozenset({("a", "b"), ("b", "c"), ("c", "a")}))}
-)
-for text, context in [
-    ("exists v2. E(v1,v2)", 1),
-    ("forall v2. E(v1,v2) -> E(v2,v1)", 1),
-    ("exists v1. forall v2. E(v1,v2)", 0),
-]:
-    denotation = tarski_denotation(m, parse_formula(text), context)
-    pointwise = frozenset(
-        assignment
-        for assignment in itertools.product(carrier.elements, repeat=context)
-        if satisfies(m, parse_formula(text), assignment)
-    )
-    print(f"{text!r} in context {context}:")
-    print("   denotation:", denotation.sorted_tuples())
-    print("   matches pointwise evaluation:", denotation.tuples == pointwise)
+# The packaged walkthrough: Tarskian denotations against pointwise evaluation.
+print("\n".join(run_demo("quantifiers")))
 print()
 
 # Implication as an adjoint of intersection, Boolean and Heyting.

@@ -19,6 +19,14 @@ class ParseError(FincatError):
         super().__init__(prefix + message)
 
 
+class WitnessedError(FincatError):
+    """A law fails at a specific tuple of elements, kept as ``witness``."""
+
+    def __init__(self, message: str, witness: tuple = ()):
+        self.witness = witness
+        super().__init__(message)
+
+
 class MalformedTable(FincatError):
     """A category table references a dangling id or misses a composable pair."""
 
@@ -35,12 +43,8 @@ class EnumerationBudgetExceeded(FincatError):
     """An exhaustive search would enumerate more arrows than the budget allows."""
 
 
-class InvalidMonoid(FincatError):
+class InvalidMonoid(WitnessedError):
     """A multiplication table breaks associativity or the unit laws."""
-
-    def __init__(self, message: str, witness: tuple = ()):
-        self.witness = witness
-        super().__init__(message)
 
 
 class InvalidPoset(FincatError):
@@ -67,32 +71,20 @@ class NotAFunctor(FincatError):
     """An operation requiring functoriality was handed a non-functor."""
 
 
-class NotMonotone(FincatError):
+class NotMonotone(WitnessedError):
     """A map between posets breaks order preservation."""
 
-    def __init__(self, message: str, witness: tuple = ()):
-        self.witness = witness
-        super().__init__(message)
 
-
-class NotAHomomorphism(FincatError):
+class NotAHomomorphism(WitnessedError):
     """A map between monoids breaks multiplication or unit preservation."""
-
-    def __init__(self, message: str, witness: tuple = ()):
-        self.witness = witness
-        super().__init__(message)
 
 
 class UnknownElement(FincatError):
     """An element is not part of the poset or universe at hand."""
 
 
-class AdjunctionFails(FincatError):
+class AdjunctionFails(WitnessedError):
     """The adjunction equivalence is violated at some pair."""
-
-    def __init__(self, message: str, witness: tuple = ()):
-        self.witness = witness
-        super().__init__(message)
 
 
 class UniverseMismatch(FincatError):

@@ -136,8 +136,14 @@ def dump_category(C: FiniteCategory) -> dict:
     }
 
 
-def load_category(path: str | Path) -> FiniteCategory:
-    return parse_category(read_json(path), where=str(path))
+def load_category(
+    path: str | Path, cap: int | None = None, budget: int | None = None
+) -> FiniteCategory:
+    """Read a category file, or run a builder file's builder with cap and budget."""
+    doc = read_json(path)
+    if isinstance(doc, dict) and "builder" in doc:
+        return parse_builder(doc, where=str(path), cap=cap, budget=budget)
+    return parse_category(doc, where=str(path))
 
 
 # -- builder inputs ------------------------------------------------------

@@ -232,36 +232,33 @@ def parse_formula(text: str) -> Formula:
     return formula
 
 
+_SYMBOLS = {Not: "!", Box: "box ", Dia: "dia ", And: " & ", Or: " | ", Implies: " -> "}
+
+
 def formula_to_text(formula: Formula) -> str:
-    """Render a tree in the same syntax (fully parenthesized where needed)."""
+    """Render a tree in the same syntax: an operand other than an atom is
+    parenthesized, except a prefix under a prefix.  One call per level, so
+    every tree :func:`parse_formula` returns renders."""
     if isinstance(formula, Atom):
         if formula.args:
             return f"{formula.name}({','.join(f'v{i}' for i in formula.args)})"
         return formula.name
-    if isinstance(formula, Not):
-        return f"!{_wrap(formula.body)}"
-    if isinstance(formula, Box):
-        return f"box {_wrap(formula.body)}"
-    if isinstance(formula, Dia):
-        return f"dia {_wrap(formula.body)}"
-    if isinstance(formula, And):
-        return f"{_wrap(formula.left)} & {_wrap(formula.right)}"
-    if isinstance(formula, Or):
-        return f"{_wrap(formula.left)} | {_wrap(formula.right)}"
-    if isinstance(formula, Implies):
-        return f"{_wrap(formula.left)} -> {_wrap(formula.right)}"
-    if isinstance(formula, Forall):
-        return f"forall v{formula.var}. {formula_to_text(formula.body)}"
-    if isinstance(formula, Exists):
-        return f"exists v{formula.var}. {formula_to_text(formula.body)}"
+    if isinstance(formula, (Forall, Exists)):
+        word = "forall" if isinstance(formula, Forall) else "exists"
+        return f"{word} v{formula.var}. {formula_to_text(formula.body)}"
+    if isinstance(formula, (Not, Box, Dia)):
+        body = formula_to_text(formula.body)
+        if not isinstance(formula.body, (Atom, Not, Box, Dia)):
+            body = f"({body})"
+        return _SYMBOLS[type(formula)] + body
+    if isinstance(formula, (And, Or, Implies)):
+        left, right = formula_to_text(formula.left), formula_to_text(formula.right)
+        if not isinstance(formula.left, Atom):
+            left = f"({left})"
+        if not isinstance(formula.right, Atom):
+            right = f"({right})"
+        return left + _SYMBOLS[type(formula)] + right
     raise TypeError(f"not a formula: {formula!r}")
-
-
-def _wrap(formula: Formula) -> str:
-    text = formula_to_text(formula)
-    if isinstance(formula, Atom):
-        return text
-    return f"({text})"
 
 
 def formula_depth(formula: Formula) -> int:

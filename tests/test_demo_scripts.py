@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fincat.cli import run
+from fincat.cli import VERBS, run
 
 ROOT = Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -36,7 +36,8 @@ def test_readme_command_lines_exit_0(monkeypatch):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", readme, flags=re.S | re.M).group(1)
     commands = [shlex.split(line, comments=True) for line in block.splitlines()]
-    assert len(commands) == 12 and all(argv[0] == "fincat" for argv in commands)
+    assert all(argv[0] == "fincat" for argv in commands)
+    assert [argv[1] for argv in commands] == list(VERBS)  # every verb once, in table order
     monkeypatch.chdir(ROOT)
     for argv in commands:
         with redirect_stdout(io.StringIO()):

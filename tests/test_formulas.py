@@ -71,11 +71,16 @@ class TestRendering:
             "box p -> dia q",
             "forall v1. exists v2. E(v1,v2)",
             "E(v1,v2) -> E(v2,v1)",
+            "box !dia (p & !q)",
         ],
     )
     def test_round_trip(self, text):
         parsed = parse_formula(text)
         assert parse_formula(formula_to_text(parsed)) == parsed
+
+    def test_renders_the_deepest_prefix_chain(self):
+        # Strings, not trees: == on a 900-deep tree passes the recursion limit.
+        assert formula_to_text(parse_formula("!" * 900 + "p")) == "!" * 900 + "p"
 
 
 class TestMeasures:
