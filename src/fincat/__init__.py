@@ -20,7 +20,6 @@ from .builders import (
 from .core import (
     Arrow,
     AxiomReport,
-    CategoryView,
     DEFAULT_BUDGET,
     FiniteCategory,
     find_inverse,

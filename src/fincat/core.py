@@ -15,24 +15,24 @@ identity ``row(h∘g) == row(h)∘row(g)``, f is monic when its row repeats no
 id within a hom, and epic when its column (g∘f for every g out of cod f)
 does not.
 
-A category read from user tables derives its kernel on first use and caches
-it, so a malformed table still constructs; deriving it checks the structure
-(dangling ids, a partial or overfull compose table) and raises
-:class:`MalformedTable` at the first problem.  The builders compose by id
-and hand their rows over through :meth:`FiniteCategory.from_rows`; such a
-category's ``composition`` is a read-only view of the rows, which may be
-made on first use, as the matrix categories do.  Names are used only to
-read and report arrows, as in Catlab.jl's integer-indexed ``FinCat``
-(https://github.com/AlgebraicJulia/Catlab.jl).  A :class:`CategoryView`
-written by a user is read through :func:`materialize`, and every predicate
-charges an arrow-count budget so no search can blow up silently.
+:class:`FiniteCategory` is the one category type.  It maps each object and
+arrow name to its id once, when it is made.  A category read from user
+tables derives its kernel on first use and caches it, so a malformed table
+still constructs; deriving it checks the structure (dangling ids, a partial
+or overfull compose table) and raises :class:`MalformedTable` at the first
+problem.  The builders compose by id and hand their rows over through
+:meth:`FiniteCategory.from_rows`; such a category's ``composition`` is a
+read-only view of the rows, which may be made on first use, as the matrix
+categories do.  Names are used only to read and report arrows, as in
+Catlab.jl's integer-indexed ``FinCat``
+(https://github.com/AlgebraicJulia/Catlab.jl).  Every predicate charges an
+arrow-count budget so no search can blow up silently.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -59,66 +59,19 @@ class Arrow:
     cod: ObjectId
 
 
-class CategoryView:
-    """The interface :func:`materialize` reads to write a category out.
-
-    Concrete views expose ``objects`` (a tuple attribute or property) plus the
-    methods below.  Hom-sets must enumerate in a fixed deterministic order:
-    all witnesses reported by the predicates are the first ones in that order.
-    """
-
-    objects: tuple[ObjectId, ...]
-
-    def hom(self, a: ObjectId, b: ObjectId) -> tuple[ArrowId, ...]:
-        raise NotImplementedError
-
-    def dom(self, f: ArrowId) -> ObjectId:
-        raise NotImplementedError
-
-    def cod(self, f: ArrowId) -> ObjectId:
-        raise NotImplementedError
-
-    def compose(self, g: ArrowId, f: ArrowId) -> ArrowId:
-        """The composite "f then g"; requires cod(f) == dom(g)."""
-        raise NotImplementedError
-
-    def identity(self, a: ObjectId) -> ArrowId:
-        raise NotImplementedError
-
-    def all_arrows(self) -> Iterator[ArrowId]:
-        for a in self.objects:
-            for b in self.objects:
-                yield from self.hom(a, b)
-
-    def has_arrow(self, f: ArrowId) -> bool:
-        try:
-            self.dom(f)
-        except UnknownArrow:
-            return False
-        return True
-
-    def kernel(self) -> "Kernel":
-        """The dense-id tables the deciders read, made on first use and kept:
-        a :class:`FiniteCategory`'s are read off its tables, and any other
-        view's are those of :func:`materialize` at the default budget."""
-        try:
-            return self._kernel
-        except AttributeError:
-            kernel = _read_tables(self) if isinstance(self, FiniteCategory) else materialize(self).kernel()
-            object.__setattr__(self, "_kernel", kernel)
-            return kernel
-
-
 @dataclass(frozen=True)
-class FiniteCategory(CategoryView):
+class FiniteCategory:
     """A category given by explicit finite tables.
 
     ``identities`` maps each object to its identity arrow; ``composition``
     maps every composable pair ``(g, f)`` (meaning "f then g") to the name
-    of the composite.  The constructor only requires names to be distinct;
-    :func:`validate` checks everything else.  The deciders read the
-    :meth:`kernel` derived from the tables at their first use, so the
-    tables must not be changed after that.
+    of the composite.  The constructor only requires names to be distinct
+    and maps each name to its id, its position in ``objects`` or
+    ``arrows``; :func:`validate` checks everything else.  Hom-sets list
+    their arrows in arrow order, and every witness a decider reports is the
+    first one in that order.  The deciders read the :meth:`kernel` derived
+    from the tables at their first use, so the tables must not be changed
+    after that.
     """
 
     objects: tuple[ObjectId, ...]
@@ -127,31 +80,34 @@ class FiniteCategory(CategoryView):
     composition: Mapping[tuple[ArrowId, ArrowId], ArrowId]
 
     def __post_init__(self):
-        if len(set(self.objects)) != len(self.objects):
+        object_ids = {a: k for k, a in enumerate(self.objects)}
+        if len(object_ids) != len(self.objects):
             raise MalformedTable("duplicate object names")
-        by_name: dict[ArrowId, Arrow] = {}
-        for arr in self.arrows:
-            if arr.name in by_name:
-                raise MalformedTable(f"duplicate arrow name {arr.name!r}")
-            by_name[arr.name] = arr
+        arrow_ids: dict[ArrowId, int] = {}
         hom_index: dict[tuple[ObjectId, ObjectId], list[ArrowId]] = {}
-        for arr in self.arrows:
+        for i, arr in enumerate(self.arrows):
+            if arrow_ids.setdefault(arr.name, i) != i:
+                raise MalformedTable(f"duplicate arrow name {arr.name!r}")
             hom_index.setdefault((arr.dom, arr.cod), []).append(arr.name)
-        object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(
-            self, "_hom", {k: tuple(v) for k, v in hom_index.items()}
-        )
-        object.__setattr__(self, "_object_set", frozenset(self.objects))
+        object.__setattr__(self, "_object_ids", object_ids)
+        object.__setattr__(self, "_arrow_ids", arrow_ids)
+        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom_index.items()})
 
     def arrow(self, f: ArrowId) -> Arrow:
         try:
-            return self._by_name[f]
+            return self.arrows[self._arrow_ids[f]]
         except KeyError:
             raise UnknownArrow(f"unknown arrow {f!r}") from None
 
+    def has_arrow(self, f: ArrowId) -> bool:
+        return f in self._arrow_ids
+
+    def all_arrows(self) -> Iterator[ArrowId]:
+        return iter(self._arrow_ids)
+
     def hom(self, a: ObjectId, b: ObjectId) -> tuple[ArrowId, ...]:
         for x in (a, b):
-            if x not in self._object_set:
+            if x not in self._object_ids:
                 raise UnknownObject(f"unknown object {x!r}")
         return self._hom.get((a, b), ())
 
@@ -162,6 +118,7 @@ class FiniteCategory(CategoryView):
         return self.arrow(f).cod
 
     def compose(self, g: ArrowId, f: ArrowId) -> ArrowId:
+        """The composite "f then g"; requires cod(f) == dom(g)."""
         gf = self.arrow(g)
         ff = self.arrow(f)
         if ff.cod != gf.dom:
@@ -174,15 +131,19 @@ class FiniteCategory(CategoryView):
             raise MalformedTable(f"compose table has no entry for ({g!r}, {f!r})") from None
 
     def identity(self, a: ObjectId) -> ArrowId:
-        if a not in self._object_set:
+        if a not in self._object_ids:
             raise UnknownObject(f"unknown object {a!r}")
         try:
             return self.identities[a]
         except KeyError:
             raise MalformedTable(f"identity table has no entry for {a!r}") from None
 
-    def all_arrows(self) -> Iterator[ArrowId]:
-        return iter(arr.name for arr in self.arrows)
+    def kernel(self) -> "Kernel":
+        """The dense-id tables the deciders read, read off the tables with
+        every structure check on first use and kept."""
+        if "_kernel" not in self.__dict__:
+            object.__setattr__(self, "_kernel", _read_tables(self))
+        return self._kernel
 
     def __eq__(self, other) -> bool:
         """Equal tables make equal categories, whatever the subclass."""
@@ -217,18 +178,12 @@ class FiniteCategory(CategoryView):
         :class:`Composites` view of them.  ``fields`` are the extra fields
         of a subclass ``cls``.
         """
-        object_ids = {a: k for k, a in enumerate(objects)}
-        kernel = Kernel(
-            objects,
-            tuple(arr.name for arr in arrows),
-            [object_ids[arr.dom] for arr in arrows],
-            [object_ids[arr.cod] for arr in arrows],
-            identity,
-            rows,
-            column,
-        )
-        identities = {a: kernel.names[i] for a, i in zip(objects, identity)}
-        C = cls(objects, arrows, identities, Composites(kernel), **fields)
+        identities = {a: arrows[i].name for a, i in zip(objects, identity)}
+        C = cls(objects, arrows, identities, {}, **fields)
+        ids = C._object_ids
+        dom, cod = [ids[arr.dom] for arr in arrows], [ids[arr.cod] for arr in arrows]
+        kernel = Kernel(objects, ids, C._arrow_ids, dom, cod, identity, rows, column)
+        object.__setattr__(C, "composition", Composites(kernel))
         object.__setattr__(C, "_kernel", kernel)
         return C
 
@@ -292,8 +247,9 @@ def _lists(ends: list[int], count: int) -> tuple[list[list[int]], list[int]]:
 class Kernel:
     """Dense-id tables of a :class:`FiniteCategory`.
 
-    Arrow i is ``names[i]`` and object k is ``objects[k]``; ``dom`` and
-    ``cod`` give object ids, and ``homs[a][b]`` the ids of the arrows a -> b.
+    Arrow i is ``names[i]`` and object k is ``objects[k]``; ``ids`` and
+    ``object_ids`` map the names back to ids.  ``dom`` and ``cod`` give
+    object ids, and ``homs[a][b]`` the ids of the arrows a -> b.
     ``into[k]`` and ``out[k]`` list the arrows into and out of object k in
     arrow order; ``pos[f]`` is f's index in ``into[cod f]`` and ``opos[f]``
     in ``out[dom f]``.  ``rows[g][pos[f]]`` is the id of g∘f: the row of g
@@ -304,9 +260,11 @@ class Kernel:
     codomain; columns are made on first use, by ``column(f)`` when it is
     given and from the rows otherwise.
 
-    The constructor takes the tables by id and checks nothing;
-    :meth:`FiniteCategory.kernel` reads user tables with every structure
-    check.  Typing and the laws are left to :func:`validate`.
+    The constructor takes the tables by id, and the name maps from the
+    category, and checks nothing.  :meth:`FiniteCategory.kernel` reads user
+    tables with every structure check, and :meth:`FiniteCategory.from_rows`
+    hands trusted rows over; typing and the laws are left to
+    :func:`validate`.
     """
 
     __slots__ = (
@@ -317,7 +275,8 @@ class Kernel:
     def __init__(
         self,
         objects: tuple[ObjectId, ...],
-        names: tuple[ArrowId, ...],
+        object_ids: dict[ObjectId, int],
+        ids: dict[ArrowId, int],
         dom: list[int],
         cod: list[int],
         identity: list[int],
@@ -330,9 +289,9 @@ class Kernel:
         for i, (a, b) in enumerate(zip(dom, cod)):
             homs[a][b].append(i)
         self.objects = objects
-        self.object_ids = {a: k for k, a in enumerate(objects)}
-        self.names = names
-        self.ids = {f: i for i, f in enumerate(names)}
+        self.object_ids = object_ids
+        self.names = tuple(ids)
+        self.ids = ids
         self.dom = dom
         self.cod = cod
         self.homs = [list(map(tuple, row)) for row in homs]
@@ -368,10 +327,7 @@ def _read_tables(C: FiniteCategory) -> Kernel:
     Raises :class:`MalformedTable` at the first dangling id, missing or
     unknown identity, non-composable entry or missing entry.
     """
-    objects = C.objects
-    obj_ids = {a: k for k, a in enumerate(objects)}
-    names = tuple(arr.name for arr in C.arrows)
-    ids = {f: i for i, f in enumerate(names)}
+    objects, obj_ids, ids = C.objects, C._object_ids, C._arrow_ids
     dom, cod = [], []
     for arr in C.arrows:
         if arr.dom not in obj_ids:
@@ -407,14 +363,14 @@ def _read_tables(C: FiniteCategory) -> Kernel:
             )
         rows[gi][pos[fi]] = hi
     if len(C.composition) != sum(len(i) * len(o) for i, o in zip(into, out)):
-        for fi in range(len(names)):
+        for fi, f in enumerate(ids):
             for gi in out[cod[fi]]:
                 if rows[gi][pos[fi]] is None:
                     raise MalformedTable(
                         "compose table is partial: missing entry for "
-                        f"({names[gi]!r}, {names[fi]!r})"
+                        f"({C.arrows[gi].name!r}, {f!r})"
                     )
-    return Kernel(objects, names, dom, cod, identity, [tuple(row) for row in rows])
+    return Kernel(objects, obj_ids, ids, dom, cod, identity, [tuple(row) for row in rows])
 
 
 class Composites(Mapping):
@@ -598,7 +554,7 @@ def _first_repeat(K, line, at, homs, budget: int) -> tuple[ArrowId, ArrowId] | N
 
 
 def monic_counterexample(
-    C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
+    C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> tuple[ArrowId, ArrowId] | None:
     """First pair (g, h) with f∘g = f∘h but g ≠ h, or None if f is monic.
 
@@ -612,13 +568,13 @@ def monic_counterexample(
     return _first_repeat(K, K.rows[f], K.pos, homs, budget)
 
 
-def is_monic(C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
+def is_monic(C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff f is left-cancellable: f∘g = f∘h implies g = h, exhaustively."""
     return monic_counterexample(C, f, budget) is None
 
 
 def epic_counterexample(
-    C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
+    C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> tuple[ArrowId, ArrowId] | None:
     """First pair (g, h) with g∘f = h∘f but g ≠ h, or None if f is epic.
 
@@ -632,13 +588,13 @@ def epic_counterexample(
     return _first_repeat(K, K.cols[f], K.opos, homs, budget)
 
 
-def is_epic(C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
+def is_epic(C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff f is right-cancellable: g∘f = h∘f implies g = h, exhaustively."""
     return epic_counterexample(C, f, budget) is None
 
 
 def find_inverse(
-    C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
+    C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> ArrowId | None:
     """The two-sided inverse of f if one exists, else None.
 
@@ -665,7 +621,7 @@ def find_inverse(
     return matches[0] if matches else None
 
 
-def is_isomorphism(C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
+def is_isomorphism(C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
     return find_inverse(C, f, budget) is not None
 
 
@@ -674,38 +630,7 @@ def is_groupoid(C: FiniteCategory, budget: int = DEFAULT_BUDGET) -> bool:
     return all(find_inverse(C, f, budget) is not None for f in C.all_arrows())
 
 
-def materialize(view: CategoryView, budget: int = DEFAULT_BUDGET) -> FiniteCategory:
-    """The view as explicit tables.
-
-    A :class:`FiniteCategory` is returned as it is once its arrows are
-    charged to the budget.  Any other view is read hom by hom in object
-    order, each hom charged to the budget, and then composed with every
-    arrow into its domain, in that same order, to make its row.  A view
-    whose identity or composite is not among the listed arrows raises
-    :class:`MalformedTable`.
-    """
-    meter = _Budget(budget)
-    if isinstance(view, FiniteCategory):
-        meter.charge(len(view.arrows))
-        return view
-    objs = tuple(view.objects)
-    arrows: list[Arrow] = []
-    into: dict[ObjectId, list[ArrowId]] = {a: [] for a in objs}
-    for a in objs:
-        for b in objs:
-            names = view.hom(a, b)
-            meter.charge(len(names))
-            arrows.extend(Arrow(n, a, b) for n in names)
-            into[b].extend(names)
-    ids = {arr.name: i for i, arr in enumerate(arrows)}
-    identities = [view.identity(a) for a in objs]
-    rows = [[view.compose(arr.name, f) for f in into[arr.dom]] for arr in arrows]
-    for name in chain(identities, *rows):
-        if name not in ids:
-            raise MalformedTable(f"the view names the unknown arrow {name!r}")
-    return FiniteCategory.from_rows(
-        objs,
-        tuple(arrows),
-        [ids[name] for name in identities],
-        [tuple(map(ids.__getitem__, row)) for row in rows],
-    )
+def materialize(C: FiniteCategory, budget: int = DEFAULT_BUDGET) -> FiniteCategory:
+    """C itself, once its arrows are charged to the budget."""
+    _Budget(budget).charge(len(C.arrows))
+    return C

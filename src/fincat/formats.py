@@ -48,6 +48,15 @@ def _string_list(value: Any, where: str, field: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _named_set(name: str, value: Any, where: str, field: str) -> NamedFiniteSet:
+    """The set ``name`` of ``value``, a list of distinct strings; anything
+    else raises a ParseError naming ``field``."""
+    try:
+        return NamedFiniteSet(name, _string_list(value, where, field))
+    except ValueError as exc:
+        raise ParseError(str(exc), source=where, field=field) from exc
+
+
 def _pair_list(value: Any, where: str, field: str) -> list[tuple[str, str]]:
     if not isinstance(value, list):
         raise ParseError("expected a list of pairs", source=where, field=field)
@@ -157,14 +166,7 @@ def _parse_named_sets(value: Any, where: str) -> list[NamedFiniteSet]:
         _require_keys(entry, {"name", "elements"}, set(), f"{where}.sets")
         if not isinstance(entry["name"], str):
             raise ParseError("set name must be a string", source=where, field="sets")
-        try:
-            sets.append(
-                NamedFiniteSet(
-                    entry["name"], _string_list(entry["elements"], where, "sets")
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), source=where, field="sets") from exc
+        sets.append(_named_set(entry["name"], entry["elements"], where, "sets"))
     return sets
 
 
@@ -321,7 +323,7 @@ def load_functor(path: str | Path) -> Functor:
 
 def parse_frame(doc: Any, where: str = "frame") -> KripkeFrame:
     _require_keys(doc, {"worlds", "access", "valuation"}, set(), where)
-    worlds = NamedFiniteSet("worlds", _string_list(doc["worlds"], where, "worlds"))
+    worlds = _named_set("worlds", doc["worlds"], where, "worlds")
     pairs = _pair_list(doc["access"], where, "access")
     if not isinstance(doc["valuation"], dict):
         raise ParseError("expected an object", source=where, field="valuation")
@@ -362,7 +364,7 @@ def load_frame(path: str | Path) -> KripkeFrame:
 
 def parse_structure(doc: Any, where: str = "structure") -> FOStructure:
     _require_keys(doc, {"carrier", "relations"}, set(), where)
-    carrier = NamedFiniteSet("carrier", _string_list(doc["carrier"], where, "carrier"))
+    carrier = _named_set("carrier", doc["carrier"], where, "carrier")
     if not isinstance(doc["relations"], dict):
         raise ParseError("expected an object", source=where, field="relations")
     relations = {}
@@ -370,10 +372,10 @@ def parse_structure(doc: Any, where: str = "structure") -> FOStructure:
         _require_keys(entry, {"arity", "tuples"}, set(), f"{where}.relations.{name}")
         if not isinstance(entry["arity"], int):
             raise ParseError("arity must be an integer", source=where, field=name)
-        tuples = set()
-        for t in entry["tuples"]:
-            row = _string_list(t, where, f"relations.{name}.tuples")
-            tuples.add(tuple(row))
+        field = f"relations.{name}.tuples"
+        if not isinstance(entry["tuples"], list):
+            raise ParseError("expected a list of tuples", source=where, field=field)
+        tuples = {_string_list(t, where, field) for t in entry["tuples"]}
         try:
             relations[name] = FORelation(entry["arity"], frozenset(tuples))
         except ValueError as exc:
@@ -406,7 +408,7 @@ def load_structure(path: str | Path) -> FOStructure:
 
 def parse_recursion_data(doc: Any, where: str = "recursion") -> RecursionData:
     _require_keys(doc, {"carrier", "c", "f"}, set(), where)
-    carrier = NamedFiniteSet("carrier", _string_list(doc["carrier"], where, "carrier"))
+    carrier = _named_set("carrier", doc["carrier"], where, "carrier")
     if not isinstance(doc["c"], str):
         raise ParseError("c must be a string", source=where, field="c")
     step = _string_map(doc["f"], where, "f")

@@ -1,16 +1,18 @@
 """String-keyed reference implementation of the category deciders.
 
 This is how `fincat.core.validate`, the arrow predicates,
-`fincat.core.materialize`, `fincat.universal.find_terminals`,
-`fincat.universal.find_products`, `fincat.nno.nno_search` and
-`fincat.functors.check_functoriality` worked before the deciders moved to
-the integer kernel: every composite is a lookup in the compose dict keyed
-by name pairs, or a call to the view's `compose`, and the structure check
-and the law checks scan every pair of arrows.  `ReferenceMat` is the matrix
-view as it was before it composed by code, and `poset_as_category` and
-`monoid_as_category` are the builders as they were before they built
-kernel rows.  It is all slow but transparently correct, and the property tests
-compare the kernel deciders against it.  It is not part of the package.
+`fincat.universal.find_terminals`, `fincat.universal.find_products`,
+`fincat.nno.nno_search` and `fincat.functors.check_functoriality` worked
+before the deciders moved to the integer kernel: every composite is a
+lookup in the compose dict keyed by name pairs, or a call to `compose`, and
+the structure check and the law checks scan every pair of arrows.
+`ReferenceMat` is the matrix category as it was before it composed by
+code: it multiplies two matrices and renders the product's name, and
+`materialize` writes it out as tables by calling `compose` on every
+composable pair.  `poset_as_category` and `monoid_as_category` are the
+builders as they were before they built kernel rows.  It is all slow but
+transparently correct, and the property tests compare the kernel deciders
+against it.  It is not part of the package.
 
 Two departures from the old code, both where it was not deterministic or
 crashed: an unknown key of the identity table is reported in table order
@@ -29,7 +31,6 @@ from fincat.core import (
     Arrow,
     ArrowId,
     AxiomReport,
-    CategoryView,
     FiniteCategory,
     ObjectId,
     Violation,
@@ -155,7 +156,7 @@ def validate(C: FiniteCategory) -> AxiomReport:
 
 
 def _universal_mediators(
-    C: CategoryView, a: ObjectId, b: ObjectId, apex: ObjectId, p1: ArrowId, p2: ArrowId
+    C: FiniteCategory, a: ObjectId, b: ObjectId, apex: ObjectId, p1: ArrowId, p2: ArrowId
 ) -> dict[Cone, ArrowId] | None:
     """Mediator table for the candidate (apex, p1, p2), or None if any cone
     has anything but exactly one mediating arrow."""
@@ -315,7 +316,7 @@ def check_functoriality(F: Functor) -> AxiomReport:
 
 
 def monic_counterexample(
-    C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
+    C: FiniteCategory | ReferenceMat, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> tuple[ArrowId, ArrowId] | None:
     """First pair (g, h) with f∘g = f∘h but g ≠ h, or None if f is monic."""
     source = C.dom(f)
@@ -333,7 +334,7 @@ def monic_counterexample(
 
 
 def epic_counterexample(
-    C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
+    C: FiniteCategory | ReferenceMat, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> tuple[ArrowId, ArrowId] | None:
     """First pair (g, h) with g∘f = h∘f but g ≠ h, or None if f is epic."""
     target = C.cod(f)
@@ -351,7 +352,7 @@ def epic_counterexample(
 
 
 def find_inverse(
-    C: CategoryView, f: ArrowId, budget: int = DEFAULT_BUDGET
+    C: FiniteCategory | ReferenceMat, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> ArrowId | None:
     """The two-sided inverse of f if one exists, else None; two inverses
     raise MalformedTable."""
@@ -374,8 +375,8 @@ def find_inverse(
     return matches[0] if matches else None
 
 
-def materialize(view: CategoryView, budget: int = DEFAULT_BUDGET) -> FiniteCategory:
-    """Write out a lazily enumerated view as explicit tables."""
+def materialize(view: ReferenceMat, budget: int = DEFAULT_BUDGET) -> FiniteCategory:
+    """Write out the reference matrices as explicit tables, hom by hom."""
     objs = tuple(view.objects)
     meter = _Budget(budget)
     arrows: list[Arrow] = []
@@ -400,7 +401,7 @@ def _matrix_name(m: MatrixOverZp) -> str:
     return f"{m.rows}x{m.cols}[{body}]"
 
 
-class ReferenceMat(CategoryView):
+class ReferenceMat:
     """Matrices over Z_p, every hom enumerated up front in lexicographic
     entry order; a composite multiplies the two matrices and renders the
     product's name.  Only the enumerated names are arrows."""
@@ -447,6 +448,10 @@ class ReferenceMat(CategoryView):
     def identity(self, a: ObjectId) -> ArrowId:
         self.hom(a, a)
         return _matrix_name(MatrixOverZp.identity(self.p, int(a)))
+
+    def all_arrows(self):
+        for names in self.homs.values():
+            yield from names
 
 
 def poset_as_category(P) -> FiniteCategory:

@@ -63,6 +63,30 @@ class TestExitCodes:
         assert code == 2
         assert out == f"error: {argv[-2]} must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize(
+        "verb, fixture, change, field",
+        [
+            ("fo-eval", "structure.json", {"carrier": ["a", "a"]}, "carrier"),
+            ("modal-eval", "frame.json", {"worlds": ["1", "1"]}, "worlds"),
+            ("wp", "frame.json", {"worlds": ["1", "1"]}, "worlds"),
+            ("nno-demo", "recursion.json", {"carrier": ["0", "1", "0"]}, "carrier"),
+            ("fo-eval", "structure.json", {"relations": {"E": {"arity": 2, "tuples": 5}}},
+             "relations.E.tuples"),
+        ],
+        ids=["fo-eval-carrier", "modal-eval-worlds", "wp-worlds", "nno-demo-carrier",
+             "fo-eval-tuples"],
+    )
+    def test_malformed_element_lists_are_errors(self, tmp_path, verb, fixture, change, field):
+        doc = {**json.loads((FIXTURES / fixture).read_text()), **change}
+        path = tmp_path / fixture
+        path.write_text(json.dumps(doc))
+        extra = {"fo-eval": ("--formula", "E(v1,v2)", "--context", "2"),
+                 "modal-eval": ("--formula", "p"), "wp": ("--target", "p"),
+                 "nno-demo": ("--n", "2")}
+        code, out = invoke(verb, path, *extra[verb])
+        assert code == 2
+        assert out.startswith(f"error: {path}: field {field!r}: ") and out.count("\n") == 1
+
     def test_unreadable_files_are_errors(self, tmp_path):
         not_utf8 = tmp_path / "not_utf8.json"
         not_utf8.write_bytes(b"\xff{}")

@@ -2,7 +2,8 @@
 JSON (wrong types, missing fields, dangling names), dumps of small lawful
 categories with entries rebound, deleted or pointed at unknown names, and
 recursion data, structures, frames, monotone maps and builder files of
-wrong shapes, with generated counts, caps, budgets and formula text.
+wrong shapes (element lists that repeat included), with generated counts,
+caps, budgets and formula text.
 Whatever the input, every verb that reads a file must end in exit code 0,
 1 or 2, never in an uncaught exception."""
 
@@ -165,6 +166,12 @@ def sublists(values, min_size=0):
     return st.lists(st.sampled_from(values), unique=True, min_size=min_size, max_size=len(values))
 
 
+def element_lists(values, min_size=0):
+    """Usually distinct ``values``, sometimes a list that may repeat some."""
+    repeating = st.lists(st.sampled_from(values), min_size=min_size, max_size=len(values) + 1)
+    return st.one_of(sublists(values, min_size), sublists(values, min_size), repeating)
+
+
 @st.composite
 def spoiled(draw, documents):
     """A drawn document, sometimes with one field dropped or replaced by junk."""
@@ -180,7 +187,7 @@ def spoiled(draw, documents):
 
 @st.composite
 def recursion_docs(draw):
-    carrier = draw(sublists(ELEMENTS, 1))
+    carrier = draw(element_lists(ELEMENTS, 1))
     return {
         "carrier": carrier,
         "c": draw(names(carrier)),
@@ -190,18 +197,19 @@ def recursion_docs(draw):
 
 @st.composite
 def structure_docs(draw):
-    carrier = draw(sublists(ELEMENTS, 1))
+    carrier = draw(element_lists(ELEMENTS, 1))
     relations = {}
     for name, arity in (("E", 2), ("P", 1)):
         width = draw(st.sampled_from([arity] * 5 + [arity + 1]))
-        tuples = draw(st.lists(st.lists(names(carrier), min_size=width, max_size=width), max_size=4))
+        rows = st.lists(st.lists(names(carrier), min_size=width, max_size=width), max_size=4)
+        tuples = draw(mostly(rows))
         relations[name] = {"arity": arity, "tuples": tuples}
     return {"carrier": carrier, "relations": relations}
 
 
 @st.composite
 def frame_docs(draw):
-    worlds = draw(sublists(ELEMENTS))
+    worlds = draw(element_lists(ELEMENTS))
     pairs = st.lists(names(worlds or ["z"]), min_size=2, max_size=2)
     return {
         "worlds": worlds,
@@ -277,6 +285,7 @@ modal_texts = formula_texts(["p", "q", "r", "P(v1)"], ["!", "box ", "dia "], ["f
 @SETTINGS
 @given(spoiled(recursion_docs()), counts)
 @example({"carrier": ["0", "1"], "c": "0", "f": {"0": "1", "1": "0"}}, -1)
+@example({"carrier": ["0", "1", "0"], "c": "0", "f": {"0": "1", "1": "0"}}, 2)
 def test_nno_demo_ends_in_an_exit_code(doc, n):
     assert exit_code(doc, "nno-demo", "--n", str(n)) in (0, 1, 2)
 
@@ -284,18 +293,22 @@ def test_nno_demo_ends_in_an_exit_code(doc, n):
 @SETTINGS
 @given(spoiled(structure_docs()), first_order_texts, counts)
 @example({"carrier": ["a", "b"], "relations": {"E": {"arity": 2, "tuples": [["a", "b"]]}}}, "E(v1,v2)", -1)
+@example({"carrier": ["a", "a"], "relations": {"E": {"arity": 2, "tuples": []}}}, "E(v1,v2)", 2)
+@example({"carrier": ["a", "b"], "relations": {"E": {"arity": 2, "tuples": 5}}}, "E(v1,v2)", 2)
 def test_fo_eval_ends_in_an_exit_code(doc, formula, context):
     assert exit_code(doc, "fo-eval", f"--formula={formula}", "--context", str(context)) in (0, 1, 2)
 
 
 @SETTINGS
 @given(spoiled(frame_docs()), modal_texts)
+@example({"worlds": ["1", "1"], "access": [], "valuation": {"p": ["1"]}}, "p")
 def test_modal_eval_ends_in_an_exit_code(doc, formula):
     assert exit_code(doc, "modal-eval", f"--formula={formula}") in (0, 1, 2)
 
 
 @SETTINGS
 @given(spoiled(frame_docs()), st.sampled_from(["p", "q", "r", ""]), st.none() | counts)
+@example({"worlds": ["1", "1"], "access": [], "valuation": {"p": ["1"]}}, "p", None)
 def test_wp_ends_in_an_exit_code(doc, target, cap):
     cap_flag = [] if cap is None else ["--cap", str(cap)]
     assert exit_code(doc, "wp", f"--target={target}", *cap_flag) in (0, 1, 2)
