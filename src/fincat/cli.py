@@ -5,10 +5,9 @@ Every verb is one entry of :data:`VERBS`.  Exit codes: 0 when the requested
 property holds, 1 when it fails (the report carries witnesses), 2 on
 malformed input.  Output is byte-stable for fixed inputs.
 
-``--seed`` is accepted, but no verb reads it.  ``--budget`` bounds finset,
-finrel and mat builder files, predicates, functor-check and fo-eval;
-validate, products and terminal search without a bound.  ``--cap`` applies
-to finset and finrel builder files and to wp.
+``--budget`` bounds finset, finrel and mat builder files, predicates,
+functor-check and fo-eval; validate, products and terminal search without
+a bound.  ``--cap`` applies to finset and finrel builder files and to wp.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from . import core, demos, formats, functors, galois, logic, nno, universal
 from .errors import FincatError, ParseError
 from .firstorder import tarski_denotation
 from .formulas import parse_formula
-
-DEFAULT_SEED = 20240513
 
 
 @dataclass
@@ -313,8 +310,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     suppressed = argparse.SUPPRESS
     parser.add_argument("--json", action="store_true", default=False if top else suppressed,
                         help="emit the structured report")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED if top else suppressed,
-                        help="seed for randomized checks")
     parser.add_argument("--budget", type=int, default=core.DEFAULT_BUDGET if top else suppressed,
                         help="enumeration cap (arrows)")
     parser.add_argument("--cap", type=int, default=None if top else suppressed,

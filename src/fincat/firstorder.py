@@ -1,37 +1,26 @@
-"""Tarskian semantics over finite structures, with quantifiers evaluated
-both directly and as adjoints to the projection that drops the last
-assignment coordinate.
+"""Tarskian semantics over finite structures, with each quantifier evaluated
+once, as an adjoint to inverse image along the projection that drops the
+last assignment coordinate.
 
 Contexts are explicit: a formula evaluated in context n may use variables
 v1..vn, and a quantifier occurring there must bind exactly v(n+1).  The
-denotation of a formula is the set of satisfying assignment tuples.
+denotation of a formula is the set of satisfying assignment tuples; while
+it is computed, a set of tuples over A^n is an int mask whose bit i stands
+for the i-th tuple of `all_assignments`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Mapping
 
-from .builders import FiniteFunction, NamedFiniteSet
 from .core import DEFAULT_BUDGET
-from .errors import (
-    ContextMismatch,
-    ContextOverflow,
-    EnumerationBudgetExceeded,
-    UnknownAtom,
-)
-from .formulas import (
-    And,
-    Atom,
-    Exists,
-    Forall,
-    Formula,
-    Implies,
-    Not,
-    Or,
-)
-from .logic import SubsetOf, Universe, direct_image, universal_image
+from .errors import ContextMismatch, ContextOverflow, EnumerationBudgetExceeded, UnknownAtom
+from .formulas import And, Atom, Exists, Forall, Formula, Implies, Not, Or
+from .logic import Universe
 
 
 @dataclass(frozen=True)
@@ -108,19 +97,44 @@ def _require_tuples(carrier: Universe, context: int, budget: int) -> None:
         )
 
 
-def tuple_universe(carrier: Universe, context: int, budget: int = DEFAULT_BUDGET) -> Universe:
-    """The universe of assignment tuples of a given context size."""
-    _require_tuples(carrier, context, budget)
-    return NamedFiniteSet(
-        f"{carrier.name}^{context}", all_assignments(carrier, context)
-    )
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def projection_function(carrier: Universe, context: int, budget: int = DEFAULT_BUDGET) -> FiniteFunction:
-    """The projection A^(n+1) -> A^n dropping the last coordinate."""
-    big = tuple_universe(carrier, context + 1, budget)
-    small = tuple_universe(carrier, context, budget)
-    return FiniteFunction(big, small, {t: t[:-1] for t in big.elements})
+def _mask(bits) -> int:
+    """The mask whose bit i is the i-th of the truth values ``bits``."""
+    return int(bytes(bits).translate(_DIGITS)[::-1] or b"0", 2)
+
+
+def _bits(mask: int, size: int) -> str:
+    """The ``size`` low bits of ``mask`` as '0'/'1' characters, bit 0 first."""
+    return format(mask, f"0{size}b")[::-1] if size else ""
+
+
+def _encode(carrier: Universe, s: AssignmentSet) -> int:
+    """The mask over A^n, in `all_assignments` order, of the tuples in ``s``."""
+    return _mask(t in s.tuples for t in all_assignments(carrier, s.context))
+
+
+def _decode(carrier: Universe, context: int, mask: int) -> AssignmentSet:
+    tuples = all_assignments(carrier, context)
+    chosen = itertools.compress(tuples, map(int, _bits(mask, len(tuples))))
+    return AssignmentSet(context, frozenset(chosen))
+
+
+def _image(mask: int, base: int, size: int, forall: bool) -> int:
+    """The direct (or universal) image of a mask over A^(n+1) along the
+    projection to A^n, with ``base`` = |A| and ``size`` = |A|^n.  As
+    index(t + (a,)) = index(t)*|A| + pos(a), the projection is i -> i // |A|:
+    tuple j is kept when its block of |A| bits is non-zero (or full)."""
+    bits = _bits(mask, size * base)
+    blocks = (bits[j * base:(j + 1) * base] for j in range(size))
+    return _mask(("0" not in b) if forall else ("1" in b) for b in blocks)
+
+
+def _inverse_image(mask: int, base: int, size: int) -> int:
+    """The inverse image along the projection A^(n+1) -> A^n: each of the
+    ``size`` bits over A^n repeated |A| = ``base`` times."""
+    return _mask(b == "1" for b in _bits(mask, size) for _ in range(base))
 
 
 def projection_adjoints(carrier: Universe, context: int, budget: int = DEFAULT_BUDGET):
@@ -132,32 +146,19 @@ def projection_adjoints(carrier: Universe, context: int, budget: int = DEFAULT_B
         exists_op(S) = { s | some a extends s into S }
         forall_op(S) = { s | every a extends s into S }
 
-    Both are the adjoints of inverse image along the projection; the
-    first-order evaluator re-derives them through direct_image and
-    universal_image and insists the answers agree.
+    They are the direct and universal images along the projection, the left
+    and right adjoints of its inverse image; `tarski_denotation` evaluates
+    every quantifier with the same fold.
     """
     _require_tuples(carrier, context + 1, budget)
-    smaller = all_assignments(carrier, context)
+    size = len(carrier.elements) ** context
 
-    def exists_op(s: AssignmentSet) -> AssignmentSet:
+    def quantify(s: AssignmentSet, forall: bool) -> AssignmentSet:
         _require_context(s, context + 1)
-        members = frozenset(
-            t
-            for t in smaller
-            if any(t + (a,) in s.tuples for a in carrier.elements)
-        )
-        return AssignmentSet(context, members)
+        image = _image(_encode(carrier, s), len(carrier.elements), size, forall)
+        return _decode(carrier, context, image)
 
-    def forall_op(s: AssignmentSet) -> AssignmentSet:
-        _require_context(s, context + 1)
-        members = frozenset(
-            t
-            for t in smaller
-            if all(t + (a,) in s.tuples for a in carrier.elements)
-        )
-        return AssignmentSet(context, members)
-
-    return exists_op, forall_op
+    return partial(quantify, forall=False), partial(quantify, forall=True)
 
 
 def _require_context(s: AssignmentSet, expected: int) -> None:
@@ -230,59 +231,46 @@ def _require_binds_next(var: int, context: int) -> None:
         )
 
 
+def _denote(m: FOStructure, formula: Formula, context: int, budget: int) -> int:
+    """The mask over A^context of the assignments that satisfy ``formula``."""
+    _require_tuples(m.carrier, context, budget)
+    base = len(m.carrier.elements)
+    if isinstance(formula, Atom):
+        rel = _atom_relation(m, formula, context)
+        tuples = all_assignments(m.carrier, context)
+        picks = [map(itemgetter(i - 1), tuples) for i in formula.args]
+        keys = zip(*picks) if picks else [()] * len(tuples)
+        return _mask(map(rel.tuples.__contains__, keys))
+    full = (1 << base ** context) - 1
+    if isinstance(formula, Not):
+        return full ^ _denote(m, formula.body, context, budget)
+    if isinstance(formula, (And, Or, Implies)):
+        left = _denote(m, formula.left, context, budget)
+        right = _denote(m, formula.right, context, budget)
+        if isinstance(formula, And):
+            return left & right
+        if isinstance(formula, Or):
+            return left | right
+        return (full ^ left) | right
+    if isinstance(formula, (Forall, Exists)):
+        _require_binds_next(formula.var, context)
+        body = _denote(m, formula.body, context + 1, budget)
+        return _image(body, base, base ** context, isinstance(formula, Forall))
+    raise UnknownAtom(f"modal operators have no first-order reading: {formula!r}")
+
+
 def tarski_denotation(
     m: FOStructure, formula: Formula, context: int, budget: int = DEFAULT_BUDGET
 ) -> AssignmentSet:
     """The set of satisfying assignments in the given context.
 
-    Propositional connectives are computed as set operations over the tuple
-    universe.  Each quantifier is evaluated twice -- by its explicit
-    extension clause and as the corresponding adjoint of inverse image along
-    the projection -- and the two answers must coincide.
+    Every subformula denotes a mask over A^n in `all_assignments` order.
+    Atoms take one pass over the tuples, connectives are bit operations, and
+    each quantifier is the direct or universal image of its body along the
+    projection that drops the last coordinate.  Only the answer is decoded
+    into tuples.
     """
-    _require_tuples(m.carrier, context, budget)
-    universe_tuples = all_assignments(m.carrier, context)
-    if isinstance(formula, Atom):
-        rel = _atom_relation(m, formula, context)
-        members = frozenset(
-            t
-            for t in universe_tuples
-            if tuple(t[i - 1] for i in formula.args) in rel.tuples
-        )
-        return AssignmentSet(context, members)
-    if isinstance(formula, Not):
-        inner = tarski_denotation(m, formula.body, context, budget)
-        return AssignmentSet(context, frozenset(universe_tuples) - inner.tuples)
-    if isinstance(formula, (And, Or, Implies)):
-        left = tarski_denotation(m, formula.left, context, budget)
-        right = tarski_denotation(m, formula.right, context, budget)
-        if isinstance(formula, And):
-            return AssignmentSet(context, left.tuples & right.tuples)
-        if isinstance(formula, Or):
-            return AssignmentSet(context, left.tuples | right.tuples)
-        return AssignmentSet(
-            context, (frozenset(universe_tuples) - left.tuples) | right.tuples
-        )
-    if isinstance(formula, (Forall, Exists)):
-        _require_binds_next(formula.var, context)
-        body = tarski_denotation(m, formula.body, context + 1, budget)
-        exists_op, forall_op = projection_adjoints(m.carrier, context, budget)
-        direct = (
-            forall_op(body) if isinstance(formula, Forall) else exists_op(body)
-        )
-        projection = projection_function(m.carrier, context, budget)
-        body_subset = SubsetOf(projection.dom, body.tuples)
-        via_adjoint = (
-            universal_image(projection, body_subset)
-            if isinstance(formula, Forall)
-            else direct_image(projection, body_subset)
-        )
-        if via_adjoint.members != direct.tuples:
-            raise RuntimeError(
-                "quantifier clause and projection adjoint disagree -- internal bug"
-            )
-        return direct
-    raise UnknownAtom(f"modal operators have no first-order reading: {formula!r}")
+    return _decode(m.carrier, context, _denote(m, formula, context, budget))
 
 
 def verify_generalization_rule(
@@ -294,21 +282,21 @@ def verify_generalization_rule(
     universally quantified formula (in context n) with the inverse image of
     gamma entailing the formula itself (in context n+1).  Side conditions on
     free variables hold automatically because gamma lives in context n.
+    A gamma with a tuple outside A^n entails neither side.
     Returns the shared truth value; disagreement would be a bug and raises.
     """
     n = gamma.context
     try:
-        body = tarski_denotation(m, formula, n + 1, budget)
+        body = _denote(m, formula, n + 1, budget)
     except ContextOverflow as exc:
         raise ContextMismatch(
             f"formula does not fit context {n + 1}: {exc}"
         ) from exc
-    _, forall_op = projection_adjoints(m.carrier, n, budget)
-    lhs = gamma.tuples <= forall_op(body).tuples
-    expanded = frozenset(
-        t + (a,) for t in gamma.tuples for a in m.carrier.elements
-    )
-    rhs = expanded <= body.tuples
+    base = len(m.carrier.elements)
+    assumed = _encode(m.carrier, gamma)
+    inside = assumed.bit_count() == len(gamma.tuples)
+    lhs = inside and not assumed & ~_image(body, base, base ** n, True)
+    rhs = inside and not _inverse_image(assumed, base, base ** n) & ~body
     if lhs != rhs:
         raise RuntimeError(
             "generalization rule sides disagree -- internal bug"

@@ -57,6 +57,12 @@ def _named_set(name: str, value: Any, where: str, field: str) -> NamedFiniteSet:
         raise ParseError(str(exc), source=where, field=field) from exc
 
 
+def _blamed(elements: tuple[str, ...], field: str) -> str:
+    """The field to name when a table over ``elements`` is rejected: the
+    element list itself if it repeats an element, else ``field``."""
+    return "elements" if len(set(elements)) < len(elements) else field
+
+
 def _pair_list(value: Any, where: str, field: str) -> list[tuple[str, str]]:
     if not isinstance(value, list):
         raise ParseError("expected a list of pairs", source=where, field=field)
@@ -215,7 +221,7 @@ def parse_builder(doc: Any, where: str = "builder", cap: int | None = None, budg
         try:
             monoid = FiniteMonoid(elements, doc["unit"], mult)
         except ValueError as exc:
-            raise ParseError(str(exc), source=where, field="mult") from exc
+            raise ParseError(str(exc), source=where, field=_blamed(elements, "mult")) from exc
         return monoid_as_category(monoid)
     if kind == "mat":
         _require_keys(doc, {"builder", "p", "max_dim"}, set(), where)
@@ -238,7 +244,7 @@ def parse_poset(doc: Any, where: str = "poset") -> FinitePoset:
     try:
         return FinitePoset.from_relation(elements, pairs)
     except InvalidPoset as exc:
-        raise ParseError(str(exc), source=where, field="leq") from exc
+        raise ParseError(str(exc), source=where, field=_blamed(elements, "leq")) from exc
 
 
 def dump_poset(p: FinitePoset) -> dict:

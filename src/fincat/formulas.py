@@ -272,14 +272,3 @@ def formula_depth(formula: Formula) -> int:
         elif not isinstance(node, Atom):
             stack += [(node.left, depth + 1), (node.right, depth + 1)]
     return deepest
-
-
-def max_variable_index(formula: Formula) -> int:
-    """Largest variable index mentioned anywhere (0 for propositional trees)."""
-    if isinstance(formula, Atom):
-        return max(formula.args, default=0)
-    if isinstance(formula, (Not, Box, Dia)):
-        return max_variable_index(formula.body)
-    if isinstance(formula, (Forall, Exists)):
-        return max(formula.var, max_variable_index(formula.body))
-    return max(max_variable_index(formula.left), max_variable_index(formula.right))

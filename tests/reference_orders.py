@@ -1,15 +1,40 @@
-"""Pair-set reference implementation of the order and subset operators.
+"""Pair-set reference implementation of the order and subset operators,
+and the set-valued first-order evaluator.
 
 This is the representation `fincat.galois` and `fincat.logic` used before
 orders became bitmasks: a poset is a frozenset of related pairs and every
-operator scans those pairs.  It is slow but transparently correct, and the
-property tests compare the mask implementation against it.  It is not part
-of the package.
+operator scans those pairs.  The first-order section is the frozenset
+evaluator `fincat.firstorder` used before denotations became masks over
+A^n.  Both are slow but transparently correct, and the property tests
+compare the mask implementations against them.  They are not part of the
+package.
 """
 
 from __future__ import annotations
 
-from fincat.errors import InvalidPoset, NotDownClosed, NotMonotone, UnknownElement
+from fincat.builders import FiniteFunction, NamedFiniteSet
+from fincat.core import DEFAULT_BUDGET
+from fincat.errors import (
+    ContextMismatch,
+    ContextOverflow,
+    InvalidPoset,
+    NotDownClosed,
+    NotMonotone,
+    UnknownAtom,
+    UnknownElement,
+)
+from fincat.firstorder import (
+    AssignmentSet,
+    FOStructure,
+    _atom_relation,
+    _require_binds_next,
+    _require_context,
+    _require_tuples,
+    all_assignments,
+)
+from fincat.formulas import And, Atom, Exists, Forall, Formula, Implies, Not, Or
+from fincat import logic
+from fincat.logic import Universe
 
 
 class RefPoset:
@@ -138,3 +163,152 @@ def box(dom_elements, pairs, members):
     return frozenset(
         x for x in dom_elements if all(y in members for (x2, y) in pairs if x2 == x)
     )
+
+
+# -- first-order denotations ---------------------------------------------
+#
+# The set-valued Tarskian evaluator `fincat.firstorder` used before
+# denotations became masks over A^n: every connective rebuilds the tuple
+# universe, and every quantifier is evaluated twice, by its extension clause
+# and as the image along an explicit projection function, the two answers
+# compared.  The budget, context and atom checks are the package's own;
+# `logic.universal_image` is qualified, as this module has its own above.
+
+def tuple_universe(carrier: Universe, context: int, budget: int = DEFAULT_BUDGET) -> Universe:
+    """The universe of assignment tuples of a given context size."""
+    _require_tuples(carrier, context, budget)
+    return NamedFiniteSet(
+        f"{carrier.name}^{context}", all_assignments(carrier, context)
+    )
+
+
+def projection_function(
+    carrier: Universe, context: int, budget: int = DEFAULT_BUDGET
+) -> FiniteFunction:
+    """The projection A^(n+1) -> A^n dropping the last coordinate."""
+    big = tuple_universe(carrier, context + 1, budget)
+    small = tuple_universe(carrier, context, budget)
+    return FiniteFunction(big, small, {t: t[:-1] for t in big.elements})
+
+
+def projection_adjoints(carrier: Universe, context: int, budget: int = DEFAULT_BUDGET):
+    """The two quantifier operators on assignment sets, as explicit formulas.
+
+    Returns (exists_op, forall_op), each mapping an AssignmentSet over
+    A^(n+1) to one over A^n:
+
+        exists_op(S) = { s | some a extends s into S }
+        forall_op(S) = { s | every a extends s into S }
+
+    Both are the adjoints of inverse image along the projection; the
+    first-order evaluator re-derives them through direct_image and
+    universal_image and insists the answers agree.
+    """
+    _require_tuples(carrier, context + 1, budget)
+    smaller = all_assignments(carrier, context)
+
+    def exists_op(s: AssignmentSet) -> AssignmentSet:
+        _require_context(s, context + 1)
+        members = frozenset(
+            t
+            for t in smaller
+            if any(t + (a,) in s.tuples for a in carrier.elements)
+        )
+        return AssignmentSet(context, members)
+
+    def forall_op(s: AssignmentSet) -> AssignmentSet:
+        _require_context(s, context + 1)
+        members = frozenset(
+            t
+            for t in smaller
+            if all(t + (a,) in s.tuples for a in carrier.elements)
+        )
+        return AssignmentSet(context, members)
+
+    return exists_op, forall_op
+
+
+def tarski_denotation(
+    m: FOStructure, formula: Formula, context: int, budget: int = DEFAULT_BUDGET
+) -> AssignmentSet:
+    """The set of satisfying assignments in the given context.
+
+    Propositional connectives are computed as set operations over the tuple
+    universe.  Each quantifier is evaluated twice -- by its explicit
+    extension clause and as the corresponding adjoint of inverse image along
+    the projection -- and the two answers must coincide.
+    """
+    _require_tuples(m.carrier, context, budget)
+    universe_tuples = all_assignments(m.carrier, context)
+    if isinstance(formula, Atom):
+        rel = _atom_relation(m, formula, context)
+        members = frozenset(
+            t
+            for t in universe_tuples
+            if tuple(t[i - 1] for i in formula.args) in rel.tuples
+        )
+        return AssignmentSet(context, members)
+    if isinstance(formula, Not):
+        inner = tarski_denotation(m, formula.body, context, budget)
+        return AssignmentSet(context, frozenset(universe_tuples) - inner.tuples)
+    if isinstance(formula, (And, Or, Implies)):
+        left = tarski_denotation(m, formula.left, context, budget)
+        right = tarski_denotation(m, formula.right, context, budget)
+        if isinstance(formula, And):
+            return AssignmentSet(context, left.tuples & right.tuples)
+        if isinstance(formula, Or):
+            return AssignmentSet(context, left.tuples | right.tuples)
+        return AssignmentSet(
+            context, (frozenset(universe_tuples) - left.tuples) | right.tuples
+        )
+    if isinstance(formula, (Forall, Exists)):
+        _require_binds_next(formula.var, context)
+        body = tarski_denotation(m, formula.body, context + 1, budget)
+        exists_op, forall_op = projection_adjoints(m.carrier, context, budget)
+        direct = (
+            forall_op(body) if isinstance(formula, Forall) else exists_op(body)
+        )
+        projection = projection_function(m.carrier, context, budget)
+        body_subset = logic.SubsetOf(projection.dom, body.tuples)
+        via_adjoint = (
+            logic.universal_image(projection, body_subset)
+            if isinstance(formula, Forall)
+            else logic.direct_image(projection, body_subset)
+        )
+        if via_adjoint.members != direct.tuples:
+            raise RuntimeError(
+                "quantifier clause and projection adjoint disagree -- internal bug"
+            )
+        return direct
+    raise UnknownAtom(f"modal operators have no first-order reading: {formula!r}")
+
+
+def verify_generalization_rule(
+    gamma: AssignmentSet, formula: Formula, m: FOStructure, budget: int = DEFAULT_BUDGET
+) -> bool:
+    """Check the two sides of the bidirectional generalization rule.
+
+    With n the context of gamma, the rule equates gamma entailing the
+    universally quantified formula (in context n) with the inverse image of
+    gamma entailing the formula itself (in context n+1).  Side conditions on
+    free variables hold automatically because gamma lives in context n.
+    Returns the shared truth value; disagreement would be a bug and raises.
+    """
+    n = gamma.context
+    try:
+        body = tarski_denotation(m, formula, n + 1, budget)
+    except ContextOverflow as exc:
+        raise ContextMismatch(
+            f"formula does not fit context {n + 1}: {exc}"
+        ) from exc
+    _, forall_op = projection_adjoints(m.carrier, n, budget)
+    lhs = gamma.tuples <= forall_op(body).tuples
+    expanded = frozenset(
+        t + (a,) for t in gamma.tuples for a in m.carrier.elements
+    )
+    rhs = expanded <= body.tuples
+    if lhs != rhs:
+        raise RuntimeError(
+            "generalization rule sides disagree -- internal bug"
+        )
+    return lhs

@@ -64,28 +64,36 @@ class TestExitCodes:
         assert out == f"error: {argv[-2]} must be nonnegative, got -1\n"
 
     @pytest.mark.parametrize(
-        "verb, fixture, change, field",
+        "verb, fixture, change, where, field",
         [
-            ("fo-eval", "structure.json", {"carrier": ["a", "a"]}, "carrier"),
-            ("modal-eval", "frame.json", {"worlds": ["1", "1"]}, "worlds"),
-            ("wp", "frame.json", {"worlds": ["1", "1"]}, "worlds"),
-            ("nno-demo", "recursion.json", {"carrier": ["0", "1", "0"]}, "carrier"),
-            ("fo-eval", "structure.json", {"relations": {"E": {"arity": 2, "tuples": 5}}},
+            ("fo-eval", "structure.json", {"carrier": ["a", "a"]}, "", "carrier"),
+            ("modal-eval", "frame.json", {"worlds": ["1", "1"]}, "", "worlds"),
+            ("wp", "frame.json", {"worlds": ["1", "1"]}, "", "worlds"),
+            ("nno-demo", "recursion.json", {"carrier": ["0", "1", "0"]}, "", "carrier"),
+            ("fo-eval", "structure.json", {"relations": {"E": {"arity": 2, "tuples": 5}}}, "",
              "relations.E.tuples"),
+            ("builders", "diamond.json", {"elements": ["a", "a"], "leq": []}, "", "elements"),
+            ("builders", "monoid_z2.json", {"elements": ["0", "0"]}, "", "elements"),
+            ("adjoints", "inclusion.json", {"dom": {"elements": ["a", "a"], "leq": []}}, ".dom",
+             "elements"),
         ],
         ids=["fo-eval-carrier", "modal-eval-worlds", "wp-worlds", "nno-demo-carrier",
-             "fo-eval-tuples"],
+             "fo-eval-tuples", "builders-poset-elements", "builders-monoid-elements",
+             "adjoints-dom-elements"],
     )
-    def test_malformed_element_lists_are_errors(self, tmp_path, verb, fixture, change, field):
+    def test_malformed_element_lists_are_errors(
+        self, tmp_path, verb, fixture, change, where, field
+    ):
         doc = {**json.loads((FIXTURES / fixture).read_text()), **change}
         path = tmp_path / fixture
         path.write_text(json.dumps(doc))
         extra = {"fo-eval": ("--formula", "E(v1,v2)", "--context", "2"),
                  "modal-eval": ("--formula", "p"), "wp": ("--target", "p"),
                  "nno-demo": ("--n", "2")}
-        code, out = invoke(verb, path, *extra[verb])
+        code, out = invoke(verb, path, *extra.get(verb, ()))
         assert code == 2
-        assert out.startswith(f"error: {path}: field {field!r}: ") and out.count("\n") == 1
+        assert out.startswith(f"error: {path}{where}: field {field!r}: ")
+        assert out.count("\n") == 1
 
     def test_unreadable_files_are_errors(self, tmp_path):
         not_utf8 = tmp_path / "not_utf8.json"

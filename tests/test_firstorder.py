@@ -10,10 +10,8 @@ from fincat.firstorder import (
     FOStructure,
     all_assignments,
     projection_adjoints,
-    projection_function,
     satisfies,
     tarski_denotation,
-    tuple_universe,
     verify_generalization_rule,
 )
 from fincat.formulas import (
@@ -26,7 +24,13 @@ from fincat.formulas import (
     Or,
     parse_formula,
 )
-from fincat.logic import SubsetOf, direct_image, universal_image
+from fincat.logic import (
+    SubsetOf,
+    check_quantifier_adjunctions,
+    direct_image,
+    universal_image,
+)
+from reference_orders import projection_function
 
 AB = NamedFiniteSet("A", ("a", "b"))
 
@@ -112,11 +116,7 @@ class TestProjectionAdjoints:
 
     def test_adjunction_to_inverse_image_of_the_projection(self):
         projection = projection_function(AB, 1)
-        big = tuple_universe(AB, 2)
-        small = tuple_universe(AB, 1)
-        from fincat.logic import check_quantifier_adjunctions
-
-        report = check_quantifier_adjunctions(projection, cap=len(big.elements))
+        report = check_quantifier_adjunctions(projection, cap=len(projection.dom.elements))
         assert report.ok
 
     def test_context_mismatch(self):
@@ -208,6 +208,11 @@ class TestGeneralizationRule:
             body = tarski_denotation(m, formula, 2)
             _, forall_op = projection_adjoints(AB, 1)
             assert shared == (gamma.tuples <= forall_op(body).tuples)
+
+    def test_assumptions_outside_the_carrier_entail_nothing(self):
+        gamma = AssignmentSet(1, frozenset({("z",)}))
+        tautology = parse_formula("E(v1,v2) | !E(v1,v2)")
+        assert not verify_generalization_rule(gamma, tautology, edge_structure())
 
     def test_context_mismatch_is_reported(self):
         gamma = AssignmentSet(1, frozenset())

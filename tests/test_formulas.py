@@ -12,7 +12,6 @@ from fincat.formulas import (
     Or,
     formula_depth,
     formula_to_text,
-    max_variable_index,
     parse_formula,
 )
 
@@ -87,7 +86,3 @@ class TestMeasures:
     def test_depth(self):
         assert formula_depth(parse_formula("p")) == 1
         assert formula_depth(parse_formula("!p & q")) == 3
-
-    def test_max_variable_index(self):
-        assert max_variable_index(parse_formula("exists v2. E(v1,v2)")) == 2
-        assert max_variable_index(parse_formula("p & q")) == 0
