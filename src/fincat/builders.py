@@ -22,6 +22,7 @@ from .core import (
     FiniteCategory,
     Lazy,
     take,
+    validate,
 )
 from .errors import (
     EnumerationBudgetExceeded,
@@ -139,31 +140,27 @@ class FiniteMonoid:
     mult: Mapping[tuple[str, str], str]
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        elements = set(self.elements)
+        if len(elements) != len(self.elements):
             raise ValueError("duplicate monoid elements")
-        if self.unit not in set(self.elements):
+        if self.unit not in elements:
             raise ValueError(f"unit {self.unit!r} is not an element")
         for a in self.elements:
             for b in self.elements:
                 if (a, b) not in self.mult:
                     raise ValueError(f"multiplication undefined on ({a!r}, {b!r})")
-                if self.mult[(a, b)] not in set(self.elements):
+                if self.mult[(a, b)] not in elements:
                     raise ValueError(f"product of ({a!r}, {b!r}) is not an element")
 
     def law_violation(self) -> tuple | None:
-        """First witness breaking associativity or a unit law, or None."""
-        for a in self.elements:
-            if self.mult[(self.unit, a)] != a:
-                return ("left-unit", a)
-            if self.mult[(a, self.unit)] != a:
-                return ("right-unit", a)
-        for a in self.elements:
-            for b in self.elements:
-                for c in self.elements:
-                    left = self.mult[(self.mult[(a, b)], c)]
-                    right = self.mult[(a, self.mult[(b, c)])]
-                    if left != right:
-                        return ("associativity", a, b, c)
+        """First witness breaking a unit law or associativity, or None: the
+        unit laws element by element, then the triples (a, b, c) with
+        (a·b)·c ≠ a·(b·c) in element order, as :func:`monoid_as_category`
+        reads them off :func:`validate`."""
+        try:
+            monoid_as_category(self)
+        except InvalidMonoid as exc:
+            return exc.witness
         return None
 
     @classmethod
@@ -422,13 +419,20 @@ def monoid_as_category(M: FiniteMonoid, object_name: str = "*") -> FiniteCategor
     ``compose(g, f)`` is the product g·f; the identity arrow is the unit.
     Raises InvalidMonoid (with a witness) if the table breaks the laws.
     """
-    witness = M.law_violation()
-    if witness is not None:
-        raise InvalidMonoid(f"monoid law broken: {witness!r}", witness=witness)
     arrows = tuple(Arrow(e, object_name, object_name) for e in M.elements)
     ids = {e: i for i, e in enumerate(M.elements)}
     rows = [tuple(ids[M.mult[(g, f)]] for f in M.elements) for g in M.elements]
-    return FiniteCategory.from_rows((object_name,), arrows, [ids[M.unit]], rows)
+    C = FiniteCategory.from_rows((object_name,), arrows, [ids[M.unit]], rows)
+    report = validate(C)
+    if not report.ok:
+        # The unit laws come first in the report, element by element; the
+        # associativity witnesses (h, g, f) are those of h·(g·f) ≠ (h·g)·f.
+        first = report.violations[0]
+        if first.law == "associativity":
+            first = min(report.violations, key=lambda v: [ids[w] for w in v.witnesses])
+        witness = (first.law, *first.witnesses)
+        raise InvalidMonoid(f"monoid law broken: {witness!r}", witness=witness)
+    return C
 
 
 def _is_prime(n: int) -> bool:

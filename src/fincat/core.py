@@ -15,6 +15,13 @@ identity ``row(h∘g) == row(h)∘row(g)``, f is monic when its row repeats no
 id within a hom, and epic when its column (g∘f for every g out of cod f)
 does not.
 
+The laws are decided on a set G of arrows that generates the category, by
+Light's associativity test (Clifford and Preston, *The Algebraic Theory of
+Semigroups* I, 1961, §1.2).  With well-typed composites the arrows g such
+that (h∘g)∘f = h∘(g∘f) for every composable f and h are closed under
+composition, and with the unit laws they include the identities; so if
+they include G, they are all the arrows.
+
 :class:`FiniteCategory` is the one category type.  It maps each object and
 arrow name to its id once, when it is made.  A category read from user
 tables derives its kernel on first use and caches it, so a malformed table
@@ -33,7 +40,8 @@ from __future__ import annotations
 
 from collections.abc import ItemsView
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -269,7 +277,7 @@ class Kernel:
 
     __slots__ = (
         "objects", "object_ids", "names", "ids", "dom", "cod", "homs",
-        "into", "out", "pos", "opos", "rows", "cols", "identity",
+        "into", "out", "pos", "opos", "rows", "cols", "identity", "gens", "lawful",
     )
 
     def __init__(
@@ -302,6 +310,40 @@ class Kernel:
         self.rows = rows
         self.cols = Lazy(column or (lambda f: tuple([rows[g][pos[f]] for g in out[cod[f]]])))
         self.identity = identity
+        self.gens: list[int] | None = None
+        self.lawful: bool | None = None
+
+    def generators(self) -> list[int]:
+        """Arrows G of which, with the identities, every arrow is a
+        composite; found on first use and kept.
+
+        The indecomposable arrows join G first, in arrow order: a is one when
+        a = g∘f only for f = a or g = a, and if the unit laws hold, every
+        generating set holds it.  Then, in arrow order, each arrow that the
+        breadth-first closure of the identities under postcomposition by G
+        misses joins G.
+        """
+        if self.gens is None:
+            rows, into, dom, cod, pos = self.rows, self.into, self.dom, self.cod, self.pos
+            arrows = range(len(dom))
+            made = set(self.identity)
+            for g in arrows:
+                made.update(set(compress(rows[g], map(ne, into[dom[g]], rows[g]))) - {g})
+            self.gens, out_gens, reached = [], [[] for _ in self.objects], bytearray(len(dom))
+
+            def reach(queue: list[int]) -> None:
+                for y in queue:
+                    if not reached[y]:
+                        reached[y] = 1
+                        queue.extend([rows[g][pos[y]] for g in out_gens[cod[y]]])
+
+            reach(list(self.identity))
+            for a in [a for a in arrows if a not in made] + list(arrows):
+                if not reached[a]:
+                    self.gens.append(a)
+                    out_gens[dom[a]].append(a)
+                    reach([a] + [h for x, h in zip(into[dom[a]], rows[a]) if reached[x]])
+        return self.gens
 
     def arrow_id(self, f: ArrowId) -> int:
         try:
@@ -430,9 +472,15 @@ def validate(C: FiniteCategory) -> AxiomReport:
     Structural problems (dangling ids, a partial compose table) raise
     :class:`MalformedTable`; law violations -- identity typing, composite
     typing, units, associativity -- are all collected into the report, each
-    kind in the order of its witnesses' positions in ``arrows``.
+    kind in the order of its witnesses' positions in ``arrows``.  Once the
+    typing and the unit laws hold, associativity is tested on the rows of
+    the kernel's generators alone, which is enough by Light's test (see the
+    module docstring); if that fails, every composable pair is scanned for
+    the report.  The verdict is kept on the kernel, as ``lawful``.
     """
     K = C.kernel()
+    if K.lawful:
+        return AxiomReport(True, ())
     names, objects = K.names, K.objects
     dom, cod, into, out, pos = K.dom, K.cod, K.into, K.out, K.pos
     rows = [K.rows[g] for g in range(len(names))]
@@ -484,23 +532,28 @@ def validate(C: FiniteCategory) -> AxiomReport:
                 Violation("right-unit", (names[f],), f"{names[f]!r} after id is {_name(names, right)!r}")
             )
 
-    # For each composable g, h: h∘(g∘f) and (h∘g)∘f over all f into dom g.
-    # When every g∘f ends at cod g and h∘g starts at dom g, the two sides are
-    # row(h) read at the positions of row(g), and row(h∘g); otherwise each
-    # side is composed entry by entry and a non-composable one is None.
-    broken = []
-    for g, row in enumerate(rows):
-        after_g = take([pos[x] for x in row]) if ends_at_cod[g] else None
-        for h in out[cod[g]]:
-            hg = rows[h][pos[g]]
-            if after_g is not None and dom[hg] == dom[g]:
-                if after_g(rows[h]) == rows[hg]:
-                    continue
-            for f, gf in zip(into[dom[g]], row):
-                lhs, rhs = K.compose(h, gf), K.compose(hg, f)
-                if lhs is None or rhs is None or lhs != rhs:
-                    broken.append((f, g, h, lhs, rhs))
-    for f, g, h, lhs, rhs in sorted(broken, key=lambda v: v[:3]):
+    # For g in gs and each h out of cod g: h∘(g∘f) and (h∘g)∘f for all f into
+    # dom g.  When every g∘f ends at cod g and h∘g starts at dom g, the sides
+    # are row(h) read at the positions of row(g), and row(h∘g); otherwise
+    # each is composed entry by entry, and a non-composable one is None.
+    def breaks(gs) -> Iterator[tuple]:
+        for g in gs:
+            row = rows[g]
+            after_g = take([pos[x] for x in row]) if ends_at_cod[g] else None
+            for h in out[cod[g]]:
+                hg = rows[h][pos[g]]
+                if after_g is not None and dom[hg] == dom[g]:
+                    if after_g(rows[h]) == rows[hg]:
+                        continue
+                for f, gf in zip(into[dom[g]], row):
+                    lhs, rhs = K.compose(h, gf), K.compose(hg, f)
+                    if lhs is None or rhs is None or lhs != rhs:
+                        yield f, g, h, lhs, rhs
+
+    K.lawful = not violations and not any(breaks(K.generators()))
+    if K.lawful:
+        return AxiomReport(True, ())
+    for f, g, h, lhs, rhs in sorted(breaks(range(len(names))), key=lambda v: v[:3]):
         violations.append(
             Violation(
                 "associativity",

@@ -10,7 +10,11 @@ the structure check and the law checks scan every pair of arrows.
 code: it multiplies two matrices and renders the product's name, and
 `materialize` writes it out as tables by calling `compose` on every
 composable pair.  `poset_as_category` and `monoid_as_category` are the
-builders as they were before they built kernel rows.  It is all slow but
+builders as they were before they built kernel rows, and `law_violation`
+is the monoid law check as it was before `validate` decided it: the unit
+laws, then every triple of elements.  `validate` and `check_functoriality`
+scan every composable pair, which the kernel versions do only once the
+test on a generating set of arrows fails.  It is all slow but
 transparently correct, and the property tests compare the kernel deciders
 against it.  It is not part of the package.
 
@@ -472,9 +476,23 @@ def poset_as_category(P) -> FiniteCategory:
     return FiniteCategory(tuple(P.elements), tuple(arrows), identities, composition)
 
 
+def law_violation(M) -> tuple | None:
+    """First witness breaking a unit law or associativity, or None: the unit
+    laws element by element, then every triple (a, b, c) in element order."""
+    for a in M.elements:
+        if M.mult[(M.unit, a)] != a:
+            return ("left-unit", a)
+        if M.mult[(a, M.unit)] != a:
+            return ("right-unit", a)
+    for a, b, c in itertools.product(M.elements, repeat=3):
+        if M.mult[(M.mult[(a, b)], c)] != M.mult[(a, M.mult[(b, c)])]:
+            return ("associativity", a, b, c)
+    return None
+
+
 def monoid_as_category(M, object_name: str = "*") -> FiniteCategory:
     """One-object category of a monoid, its compose table a dict of products."""
-    witness = M.law_violation()
+    witness = law_violation(M)
     if witness is not None:
         raise InvalidMonoid(f"monoid law broken: {witness!r}", witness=witness)
     arrows = tuple(Arrow(e, object_name, object_name) for e in M.elements)

@@ -105,6 +105,40 @@ class TestExitCodes:
             assert code == 2
             assert "cannot read file" in out
 
+    def test_validate_reports_every_associativity_break(self, tmp_path):
+        # Z3 with 1∘1 rewritten to 0: typing and the units hold, so only the
+        # full scan after the failed generator test can list these four.
+        arrows = [{"name": n, "dom": "*", "cod": "*"} for n in "012"]
+        compose = [
+            {"after": g, "then": f, "is": "0" if g == f == "1" else str((int(g) + int(f)) % 3)}
+            for g in "012" for f in "012"
+        ]
+        path = tmp_path / "z3_broken.json"
+        path.write_text(json.dumps(
+            {"objects": ["*"], "arrows": arrows, "identities": {"*": "0"}, "compose": compose}
+        ))
+        breaks = [
+            (("2", "1", "1"), "'2' but (h∘g)∘f = '1'"),
+            (("2", "2", "1"), "'2' but (h∘g)∘f = '0'"),
+            (("1", "1", "2"), "'1' but (h∘g)∘f = '2'"),
+            (("1", "2", "2"), "'0' but (h∘g)∘f = '2'"),
+        ]
+        code, out = invoke("validate", path)
+        assert code == 1
+        assert out.splitlines() == [
+            "category with 1 objects and 3 arrows",
+            "law violations: 4",
+            "witnesses:",
+            *[f"  - associativity: h∘(g∘f) = {detail}" for _, detail in breaks],
+            "status: fail",
+        ]
+        code, out = invoke("--json", "validate", path)
+        assert code == 1
+        assert json.loads(out)["payload"]["violations"] == [
+            {"detail": f"h∘(g∘f) = {detail}", "law": "associativity", "witnesses": list(w)}
+            for w, detail in breaks
+        ]
+
     def test_fail_reports_carry_witnesses(self):
         code, out = invoke("--json", "validate", FIXTURES / "twochain_broken.json")
         assert code == 1

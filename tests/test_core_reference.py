@@ -89,12 +89,13 @@ def monoids(draw, kinds=("cyclic", "maps", "table")):
     return FiniteMonoid(tuple(elements), "e", mult)
 
 
-lawful_categories = st.one_of(
-    posets(),
+# Categories that may have several arrows in a hom, unlike posets.
+plural_categories = st.one_of(
     monoids(("cyclic", "maps")).map(monoid_as_category),
     named_sets().map(lambda sets: build_finset(sets).category),
     named_sets().filter(_small_finrel).map(lambda sets: build_finrel(sets).category),
 )
+lawful_categories = st.one_of(posets(), plural_categories)
 
 
 def tables(C):
@@ -199,6 +200,48 @@ def test_validate_matches_the_reference(C):
     event("malformed" if new[0] == "raised" else "lawful" if new[1].ok else "violations")
     assert new == old
     assert (new[0] == "raised") == is_malformed(C)
+
+
+@st.composite
+def associativity_breaks(draw):
+    """A lawful category with one or two composites g∘f, neither g nor f an
+    identity, rewritten to another arrow of their hom.  Typing and the unit
+    laws still hold, so `validate` runs the row test on its generators."""
+    C = draw(plural_categories)
+    objects, arrows, identities, composition = tables(C)
+    units = set(identities.values())
+    homs = {k: C.hom(C.dom(k[1]), C.cod(k[0])) for k in composition if not units & set(k)}
+    keys = sorted(k for k, hom in homs.items() if len(hom) > 1)
+    for _ in range(draw(st.integers(1, 2))):
+        if keys:
+            key = draw(st.sampled_from(keys))
+            others = [h for h in homs[key] if h != composition[key]]
+            composition[key] = draw(st.sampled_from(others))
+    return FiniteCategory(tuple(objects), tuple(arrows), identities, composition)
+
+
+def z3_with(products: dict) -> FiniteCategory:
+    """The cyclic group of order 3 as a one-object category, with some of its
+    products rewritten."""
+    C = monoid_as_category(FiniteMonoid.cyclic(3))
+    return FiniteCategory(C.objects, C.arrows, dict(C.identities), {**C.composition, **products})
+
+
+def test_the_first_break_of_the_example_is_outside_the_generators():
+    C = z3_with({("1", "1"): "0"})
+    K, report = C.kernel(), validate(C)
+    assert [K.names[g] for g in K.generators()] == ["2"]
+    assert report.violations[0].witnesses[1] == "1"
+
+
+@SETTINGS
+@given(associativity_breaks())
+@example(z3_with({("1", "1"): "0"}))
+def test_validate_matches_the_reference_on_associativity_breaks(C):
+    report = validate(C)
+    event("lawful" if report.ok else "broken")
+    assert report == ref.validate(C)
+    assert {v.law for v in report.violations} <= {"associativity"}
 
 
 def assert_certificates_equal(new, old):
@@ -307,6 +350,72 @@ def test_functoriality_matches_the_reference(F):
         assert new[0] == "raised" and new[1] is MalformedTable
     else:
         assert new == old
+
+
+@st.composite
+def misrouted_functors(draw):
+    """The identity functor of a lawful category with up to two arrows sent
+    to another arrow of their hom, so every image is well typed."""
+    C = draw(plural_categories)
+    arrow_map = {f.name: f.name for f in C.arrows}
+    others = {f: [g for g in C.hom(C.dom(f), C.cod(f)) if g != f] for f in arrow_map}
+    movable = sorted(f for f in others if others[f])
+    for _ in range(draw(st.integers(0, 2))):
+        if movable:
+            f = draw(st.sampled_from(movable))
+            arrow_map[f] = draw(st.sampled_from(others[f]))
+    return Functor(C, C, {a: a for a in C.objects}, arrow_map)
+
+
+@st.composite
+def monoid_maps(draw):
+    """A map between the elements of two lawful monoids that sends the unit
+    to the unit, as a map between their one-object categories."""
+    M, N = draw(monoids(("cyclic", "maps"))), draw(monoids(("cyclic", "maps")))
+    arrow_map = {e: draw(st.sampled_from(N.elements)) for e in M.elements}
+    arrow_map[M.unit] = N.unit
+    return Functor(monoid_as_category(M), monoid_as_category(N), {"*": "*"}, arrow_map)
+
+
+@SETTINGS
+@given(st.one_of(misrouted_functors(), monoid_maps()))
+def test_functoriality_on_validated_kernels_matches_the_reference(F):
+    assert validate(F.source).ok and validate(F.target).ok
+    report = check_functoriality(F)
+    event("functor" if report.ok else "not a functor")
+    assert report == ref.check_functoriality(F)
+
+
+def test_a_target_that_failed_validate_is_checked_in_full():
+    # The generators of Z3 are ["1"], and the row of "1" is the same in the
+    # broken target, so only the full scan sees that F(2∘2) is not 2∘2.
+    source, target = monoid_as_category(FiniteMonoid.cyclic(3)), z3_with({("2", "2"): "0"})
+    assert validate(source).ok and not validate(target).ok
+    assert [source.kernel().names[g] for g in source.kernel().generators()] == ["1"]
+    F = Functor(source, target, {"*": "*"}, {f: f for f in source.all_arrows()})
+    report = check_functoriality(F)
+    assert report == ref.check_functoriality(F)
+    assert [v.witnesses for v in report.violations] == [("2", "2")]
+
+
+@st.composite
+def broken_monoids(draw):
+    """A cyclic monoid with one or two products rewritten, the unit's
+    included, or a drawn table, which may break associativity."""
+    M = draw(monoids(("cyclic", "table")))
+    mult = dict(M.mult)
+    for _ in range(draw(st.integers(0, 2))):
+        mult[draw(st.sampled_from(sorted(mult)))] = draw(st.sampled_from(M.elements))
+    return FiniteMonoid(M.elements, M.unit, mult)
+
+
+@SETTINGS
+@given(broken_monoids())
+@example(FiniteMonoid(("0", "1", "2"), "0", {**FiniteMonoid.cyclic(3).mult, ("1", "1"): "0"}))
+def test_monoid_laws_name_the_first_witness_of_the_triple_loop(M):
+    witness = M.law_violation()
+    event(witness[0] if witness else "lawful")
+    assert witness == ref.law_violation(M)
 
 
 def test_mistyped_identity_reports_the_unit_laws_instead_of_crashing():
