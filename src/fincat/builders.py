@@ -9,14 +9,13 @@ order) so fixtures reproduce byte for byte.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .core import (
-    Arrow,
     ArrowId,
     DEFAULT_BUDGET,
     FiniteCategory,
@@ -252,16 +251,10 @@ class FinRelCategory(FiniteCategory):
 
 
 def _all_arrows(
-    cls: type[FiniteCategory],
-    sets: Iterable[NamedFiniteSet],
-    cap: int,
-    budget: int,
-    kind: str,
-    count: Callable[[int, int], int],
+    cls: type[FiniteCategory], sets: Iterable[NamedFiniteSet], cap: int, budget: int,
+    kind: str, count: Callable[[int, int], int],
     hom: Callable[[NamedFiniteSet, NamedFiniteSet], dict],
-    identity: Callable[[NamedFiniteSet], Hashable],
-    after: Callable[[Hashable], Callable[[Hashable], Hashable]],
-    **fields,
+    identity: Callable[[NamedFiniteSet], tuple], table: Callable[[tuple], list | tuple], **fields,
 ) -> FiniteCategory:
     """The ``cls`` category with the given sets as objects and every arrow
     of a kind; its ``sets`` field maps each name to its set, and ``fields``
@@ -270,9 +263,10 @@ def _all_arrows(
     ``count(|X|, |Y|)`` is the size of hom(X, Y), checked against the budget
     before anything is built; ``hom(X, Y)`` maps the key of each arrow X -> Y
     to its name, in hom order; ``identity(S)`` is the key of the identity of
-    S; and ``after(f)(g)`` is the key of "f then g", which lands in the hom
-    from dom f to cod g.  Each name is rendered once, by ``hom``, and each
-    composite is looked up once, by id, into the row of g.
+    S; and the key of "f then g", which lands in the hom from dom f to
+    cod g, is ``table(g)`` read at the positions that the key of f lists.
+    Each name is rendered once, by ``hom``, each table is made once per g,
+    and each composite is looked up once, by id, into the row of g.
     """
     sets = tuple(sets)
     if len(set(s.name for s in sets)) != len(sets):
@@ -286,33 +280,35 @@ def _all_arrows(
     if total > budget:
         raise EnumerationBudgetExceeded(f"{total} {kind} exceed the budget of {budget}")
 
-    arrows: list[Arrow] = []
-    keys = []
+    names: list[ArrowId] = []
+    keys: list[tuple] = []
+    dom, cod = [], []
     ids = [[{} for _ in sets] for _ in sets]  # ids[i][j]: key -> id of the arrow
     spans = [[range(0) for _ in sets] for _ in sets]  # spans[i][j]: ids of the hom
     for i, x in enumerate(sets):
         for j, y in enumerate(sets):
-            start = len(arrows)
-            for key, name in hom(x, y).items():
-                ids[i][j][key] = len(arrows)
-                arrows.append(Arrow(name, x.name, y.name))
-                keys.append(key)
-            spans[i][j] = range(start, len(arrows))
-    afters = [after(key) for key in keys]
+            arrows = hom(x, y)
+            spans[i][j] = range(len(names), len(names) + len(arrows))
+            ids[i][j] = dict(zip(arrows, spans[i][j]))
+            names += arrows.values()
+            keys += arrows
+            dom += [i] * len(arrows)
+            cod += [j] * len(arrows)
+    pickers = [take(key) for key in keys]
     rows = []
     for j in range(len(sets)):
         for k in range(len(sets)):
             for g in spans[j][k]:
-                key = keys[g]
+                entries = table(keys[g])
                 row: list[int] = []
                 for i in range(len(sets)):
                     into_k = ids[i][k]
-                    row.extend([into_k[afters[f](key)] for f in spans[i][j]])
+                    row.extend([into_k[pickers[f](entries)] for f in spans[i][j]])
                 rows.append(tuple(row))
     identity_ids = [ids[i][i][identity(s)] for i, s in enumerate(sets)]
-    names = tuple(s.name for s in sets)
+    objects = tuple(s.name for s in sets)
     return cls.from_rows(
-        names, tuple(arrows), identity_ids, rows, sets=dict(zip(names, sets)), **fields
+        objects, names, dom, cod, identity_ids, rows, sets=dict(zip(objects, sets)), **fields
     )
 
 
@@ -338,7 +334,7 @@ def build_finset(
 
     return _all_arrows(
         FinSetCategory, sets, cap, budget, "functions", lambda x, y: y ** x, hom,
-        lambda s: tuple(range(len(s.elements))), take, functions=functions,
+        lambda s: tuple(range(len(s.elements))), lambda images: images, functions=functions,
     )
 
 
@@ -366,43 +362,48 @@ def build_finrel(
             relations[names[rows]] = rel
         return names
 
-    def after(r_rows: tuple[int, ...]):
-        # row i of "r then s" is the union of the rows of s that row i of r picks
-        return lambda s_rows: tuple(
-            functools.reduce(operator.or_, map(s_rows.__getitem__, bits(row)), 0) for row in r_rows
-        )
+    def unions(s_rows: tuple[int, ...]) -> list[int]:
+        # entry m is the union of the rows of s that the mask m picks, so row i
+        # of "r then s" is the entry at row i of r
+        table = [0]
+        for row in s_rows:
+            table += [union | row for union in table]
+        return table
 
     return _all_arrows(
         FinRelCategory, sets, cap, budget, "relations", lambda x, y: 2 ** (x * y), hom,
-        lambda s: tuple(1 << i for i in range(len(s.elements))), after, relations=relations,
+        lambda s: tuple(1 << i for i in range(len(s.elements))), unions, relations=relations,
     )
 
 
-def poset_arrow_name(a: str, b: str) -> str:
-    return f"{a}<={b}"
-
-
 def poset_as_category(P: FinitePoset) -> FiniteCategory:
-    """Thin category: exactly one arrow a -> b when a <= b.
+    """Thin category: exactly one arrow a -> b, named ``a<=b``, when a <= b.
 
     Identities come from reflexivity, composition from transitivity: the
     composite of a <= b and b <= c is the arrow a <= c.  Arrows are listed
     by domain, then codomain, in element order, so the row of b <= c lists
-    the arrows x <= c for every x <= b.
+    the arrows x <= c for every x <= b.  The category is made once per
+    poset and kept on it.
     """
-    elements = tuple(P.elements)
-    arrows = []
-    ends = []
+    if "_category" in P.__dict__:
+        return P._category
+    elements = P.elements
+    names, dom, cod = [], [], []
     into_id = [[0] * len(elements) for _ in elements]  # into_id[b][a]: id of a <= b
-    for a, ups in enumerate(P.ups):
+    lower: list[list[int]] = [[] for _ in elements]  # lower[b]: the a <= b, in order
+    for a, (x, ups) in enumerate(zip(elements, P.ups)):
         for b in bits(ups):
-            into_id[b][a] = len(arrows)
-            arrows.append(Arrow(poset_arrow_name(elements[a], elements[b]), elements[a], elements[b]))
-            ends.append((a, b))
-    below = [take(list(bits(downs))) for downs in P.downs]
-    rows = [below[b](into_id[c]) for b, c in ends]
+            into_id[b][a] = len(names)
+            lower[b].append(a)
+            names.append(f"{x}<={elements[b]}")
+            dom.append(a)
+            cod.append(b)
+    below = list(map(take, lower))
+    rows = [below[b](into_id[c]) for b, c in zip(dom, cod)]
     identity = [into_id[a][a] for a in range(len(elements))]
-    return FiniteCategory.from_rows(elements, tuple(arrows), identity, rows)
+    C = FiniteCategory.from_rows(elements, names, dom, cod, identity, rows)
+    object.__setattr__(P, "_category", C)
+    return C
 
 
 def poset_from_category(C: FiniteCategory) -> FinitePoset:
@@ -419,10 +420,11 @@ def monoid_as_category(M: FiniteMonoid, object_name: str = "*") -> FiniteCategor
     ``compose(g, f)`` is the product g·f; the identity arrow is the unit.
     Raises InvalidMonoid (with a witness) if the table breaks the laws.
     """
-    arrows = tuple(Arrow(e, object_name, object_name) for e in M.elements)
-    ids = {e: i for i, e in enumerate(M.elements)}
-    rows = [tuple(ids[M.mult[(g, f)]] for f in M.elements) for g in M.elements]
-    C = FiniteCategory.from_rows((object_name,), arrows, [ids[M.unit]], rows)
+    names = M.elements
+    ids = dict(zip(names, range(len(names))))
+    rows = [tuple([ids[M.mult[(g, f)]] for f in names]) for g in names]
+    ends = [0] * len(names)
+    C = FiniteCategory.from_rows((object_name,), names, ends, ends, [ids[M.unit]], rows)
     report = validate(C)
     if not report.ok:
         # The unit laws come first in the report, element by element; the
@@ -436,14 +438,7 @@ def monoid_as_category(M: FiniteMonoid, object_name: str = "*") -> FiniteCategor
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,17 +488,20 @@ def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory
     if total > budget:
         raise EnumerationBudgetExceeded(f"{total} matrices exceed the budget of {budget}")
     objects = tuple(map(str, dims))
-    arrows: list[Arrow] = []
+    names: list[ArrowId] = []
+    dom, cod = [], []
     offset = [[0 for _ in dims] for _ in dims]  # offset[n][m]: id of the zero n x m matrix
     for n in dims:
         for m in dims:
-            offset[n][m] = len(arrows)
+            offset[n][m] = len(names)
             texts = [",".join(map(str, v)) for v in itertools.product(range(p), repeat=m)]
             for rows in itertools.product(texts, repeat=n):
-                arrows.append(Arrow(f"{n}x{m}[{';'.join(rows)}]", objects[n], objects[m]))
+                names.append(f"{n}x{m}[{';'.join(rows)}]")
+            dom.extend([n] * (len(names) - offset[n][m]))
+            cod.extend([m] * (len(names) - offset[n][m]))
 
     def action(g: int) -> list[int]:
-        m, k = int(arrows[g].dom), int(arrows[g].cod)
+        m, k = dom[g], cod[g]
         flat = _digits(g - offset[m][k], p, m * k)
         columns = [flat[c::k] for c in range(k)]
         images = []
@@ -520,7 +518,7 @@ def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory
         # As the matrices of hom(n, dom g) run through their codes, the rows
         # of their products with g are the images of their rows, so each n
         # adds one comprehension over the codes of n - 1.
-        k = int(arrows[g].cod)
+        k = cod[g]
         images, width = actions[g], p ** k
         composites: list[int] = []
         codes = [0]
@@ -532,7 +530,7 @@ def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory
         return tuple(composites)
 
     def column(f: int) -> tuple[int, ...]:
-        n, m = int(arrows[f].dom), int(arrows[f].cod)
+        n, m = dom[f], cod[f]
         rows = _digits(f - offset[n][m], p ** m, n)
         composites = []
         for k in dims:
@@ -547,5 +545,5 @@ def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory
     # the identity on n has the row code p^j in row n - 1 - j
     identity = [offset[n][n] + sum(p ** ((n + 1) * j) for j in range(n)) for n in dims]
     return MatCategory.from_rows(
-        objects, tuple(arrows), identity, Lazy(row), column, p=p, max_dim=max_dim
+        objects, names, dom, cod, identity, Lazy(row), column, p=p, max_dim=max_dim
     )

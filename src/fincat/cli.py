@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -354,7 +355,16 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command line; a reader that closes the pipe early, as
+    ``| head`` does, ends it with exit code 1 and no traceback."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

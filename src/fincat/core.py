@@ -22,16 +22,14 @@ that (h∘g)∘f = h∘(g∘f) for every composable f and h are closed under
 composition, and with the unit laws they include the identities; so if
 they include G, they are all the arrows.
 
-:class:`FiniteCategory` is the one category type.  It maps each object and
-arrow name to its id once, when it is made.  A category read from user
-tables derives its kernel on first use and caches it, so a malformed table
-still constructs; deriving it checks the structure (dangling ids, a partial
-or overfull compose table) and raises :class:`MalformedTable` at the first
-problem.  The builders compose by id and hand their rows over through
-:meth:`FiniteCategory.from_rows`; such a category's ``composition`` is a
-read-only view of the rows, which may be made on first use, as the matrix
-categories do.  Names are used only to read and report arrows, as in
-Catlab.jl's integer-indexed ``FinCat``
+:class:`FiniteCategory` is the one category type.  A category read from
+user tables derives its kernel on first use and caches it, so a malformed
+table still constructs; deriving it checks the structure (dangling ids, a
+partial or overfull compose table) and raises :class:`MalformedTable` at
+the first problem.  The builders hand over ids, arrow names and rows
+through :meth:`FiniteCategory.from_rows`, which makes the kernel alone:
+names are made on read, an :class:`Arrow` or a composite's name only when
+it is asked for, as in Catlab.jl's integer-indexed ``FinCat``
 (https://github.com/AlgebraicJulia/Catlab.jl).  Every predicate charges an
 arrow-count budget so no search can blow up silently.
 """
@@ -40,7 +38,7 @@ from __future__ import annotations
 
 from collections.abc import ItemsView
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, groupby
 from operator import itemgetter, ne
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -77,29 +75,20 @@ class FiniteCategory:
     and maps each name to its id, its position in ``objects`` or
     ``arrows``; :func:`validate` checks everything else.  Hom-sets list
     their arrows in arrow order, and every witness a decider reports is the
-    first one in that order.  The deciders read the :meth:`kernel` derived
-    from the tables at their first use, so the tables must not be changed
-    after that.
+    first one in that order.  The deciders, and ``hom`` and ``compose`` by
+    name, read the :meth:`kernel` derived from the tables at its first use,
+    so the tables must not be changed after that.  A category made by
+    :meth:`from_rows` has only the kernel, and makes names on read.
     """
 
     objects: tuple[ObjectId, ...]
-    arrows: tuple[Arrow, ...]
+    arrows: Sequence[Arrow]
     identities: Mapping[ObjectId, ArrowId]
     composition: Mapping[tuple[ArrowId, ArrowId], ArrowId]
 
     def __post_init__(self):
-        object_ids = {a: k for k, a in enumerate(self.objects)}
-        if len(object_ids) != len(self.objects):
-            raise MalformedTable("duplicate object names")
-        arrow_ids: dict[ArrowId, int] = {}
-        hom_index: dict[tuple[ObjectId, ObjectId], list[ArrowId]] = {}
-        for i, arr in enumerate(self.arrows):
-            if arrow_ids.setdefault(arr.name, i) != i:
-                raise MalformedTable(f"duplicate arrow name {arr.name!r}")
-            hom_index.setdefault((arr.dom, arr.cod), []).append(arr.name)
-        object.__setattr__(self, "_object_ids", object_ids)
-        object.__setattr__(self, "_arrow_ids", arrow_ids)
-        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom_index.items()})
+        ids = _ids(self.objects, [arr.name for arr in self.arrows])
+        self.__dict__["_object_ids"], self.__dict__["_arrow_ids"] = ids
 
     def arrow(self, f: ArrowId) -> Arrow:
         try:
@@ -117,7 +106,12 @@ class FiniteCategory:
         for x in (a, b):
             if x not in self._object_ids:
                 raise UnknownObject(f"unknown object {x!r}")
-        return self._hom.get((a, b), ())
+        try:
+            K = self.kernel()
+        except MalformedTable:
+            # a malformed table has no kernel, but its hom-sets can be read
+            return tuple(arr.name for arr in self.arrows if (arr.dom, arr.cod) == (a, b))
+        return tuple(map(K.names.__getitem__, K.homs[K.object_ids[a]][K.object_ids[b]]))
 
     def dom(self, f: ArrowId) -> ObjectId:
         return self.arrow(f).dom
@@ -127,16 +121,12 @@ class FiniteCategory:
 
     def compose(self, g: ArrowId, f: ArrowId) -> ArrowId:
         """The composite "f then g"; requires cod(f) == dom(g)."""
-        gf = self.arrow(g)
-        ff = self.arrow(f)
-        if ff.cod != gf.dom:
-            raise ValueError(
-                f"arrows not composable: {f!r} ends at {ff.cod!r}, {g!r} starts at {gf.dom!r}"
-            )
-        try:
-            return self.composition[(g, f)]
-        except KeyError:
-            raise MalformedTable(f"compose table has no entry for ({g!r}, {f!r})") from None
+        K = self.kernel()
+        gi, fi = K.arrow_id(g), K.arrow_id(f)
+        if K.cod[fi] != K.dom[gi]:
+            raise ValueError(f"arrows not composable: {f!r} ends at {K.objects[K.cod[fi]]!r}, "
+                             f"{g!r} starts at {K.objects[K.dom[gi]]!r}")
+        return K.names[K.rows[gi][K.pos[fi]]]
 
     def identity(self, a: ObjectId) -> ArrowId:
         if a not in self._object_ids:
@@ -168,32 +158,40 @@ class FiniteCategory:
 
     @classmethod
     def from_rows(
-        cls,
-        objects: tuple[ObjectId, ...],
-        arrows: tuple[Arrow, ...],
-        identity: list[int],
-        rows: Sequence[tuple[int, ...]] | Lazy,
-        column: Callable[[int], tuple[int, ...]] | None = None,
-        **fields,
+        cls, objects: tuple[ObjectId, ...], names: Sequence[ArrowId], dom: list[int],
+        cod: list[int], identity: list[int], rows: Sequence[tuple[int, ...]] | Lazy,
+        column: Callable[[int], tuple] | None = None, **fields,
     ) -> "FiniteCategory":
-        """The category whose composites are given by id, as kernel rows.
+        """The category whose arrows and composites are given by id.
 
-        Arrow i is ``arrows[i]``, the identity of ``objects[k]`` is arrow
-        ``identity[k]``, and ``rows[g]`` lists the id of g∘f for every f
-        into dom g, in arrow order; ``column`` is passed on to
-        :class:`Kernel`.  The rows are trusted, so none of the structure
-        checks of user tables runs; ``composition`` is the read-only
-        :class:`Composites` view of them.  ``fields`` are the extra fields
-        of a subclass ``cls``.
+        Arrow i is ``names[i]``, from object ``dom[i]`` to object ``cod[i]``;
+        the identity of ``objects[k]`` is arrow ``identity[k]``; ``rows[g]``
+        lists the id of g∘f for every f into dom g, in arrow order; and
+        ``column`` is passed on to :class:`Kernel`.  The ids are trusted:
+        the names are only checked to be distinct, each mapped to its id
+        once.  Names are made on read: ``arrows`` and ``composition`` are
+        the read-only :class:`Arrows` and :class:`Composites` views of the
+        kernel.  ``fields`` are the extra fields of a subclass ``cls``.
         """
-        identities = {a: arrows[i].name for a, i in zip(objects, identity)}
-        C = cls(objects, arrows, identities, {}, **fields)
-        ids = C._object_ids
-        dom, cod = [ids[arr.dom] for arr in arrows], [ids[arr.cod] for arr in arrows]
-        kernel = Kernel(objects, ids, C._arrow_ids, dom, cod, identity, rows, column)
-        object.__setattr__(C, "composition", Composites(kernel))
-        object.__setattr__(C, "_kernel", kernel)
+        object_ids, ids = _ids(objects, names)
+        K = Kernel(objects, object_ids, ids, dom, cod, identity, rows, column)
+        C = object.__new__(cls)  # no __post_init__: the kernel has the ids
+        identities = {a: names[i] for a, i in zip(objects, identity)}
+        C.__dict__.update(objects=objects, arrows=Arrows(K), identities=identities,
+                          composition=Composites(K), _object_ids=object_ids, _arrow_ids=ids,
+                          _kernel=K, **fields)
         return C
+
+
+def _ids(objects: Sequence[ObjectId], names: Sequence[ArrowId]) -> tuple[dict, dict]:
+    """Each object's and each arrow's position; a repeated name is malformed."""
+    object_ids, ids = dict(zip(objects, range(len(objects)))), dict(zip(names, range(len(names))))
+    if len(object_ids) != len(objects):
+        raise MalformedTable("duplicate object names")
+    if len(ids) != len(names):
+        repeated = next(f for i, f in enumerate(names) if f in names[:i])
+        raise MalformedTable(f"duplicate arrow name {repeated!r}")
+    return object_ids, ids
 
 
 @dataclass(frozen=True)
@@ -241,17 +239,6 @@ class Lazy(dict):
         return value
 
 
-def _lists(ends: list[int], count: int) -> tuple[list[list[int]], list[int]]:
-    """The arrows at each of ``count`` objects, in arrow order, given one end
-    of every arrow, and each arrow's position in its object's list."""
-    lists: list[list[int]] = [[] for _ in range(count)]
-    positions = []
-    for i, end in enumerate(ends):
-        positions.append(len(lists[end]))
-        lists[end].append(i)
-    return lists, positions
-
-
 class Kernel:
     """Dense-id tables of a :class:`FiniteCategory`.
 
@@ -281,35 +268,27 @@ class Kernel:
     )
 
     def __init__(
-        self,
-        objects: tuple[ObjectId, ...],
-        object_ids: dict[ObjectId, int],
-        ids: dict[ArrowId, int],
-        dom: list[int],
-        cod: list[int],
-        identity: list[int],
-        rows: Sequence[tuple[int, ...]] | Lazy,
-        column: Callable[[int], tuple[int, ...]] | None = None,
+        self, objects: tuple[ObjectId, ...], object_ids: dict[ObjectId, int],
+        ids: dict[ArrowId, int], dom: list[int], cod: list[int], identity: list[int],
+        rows: Sequence[tuple[int, ...]] | Lazy, column: Callable[[int], tuple] | None = None,
     ):
-        into, pos = _lists(cod, len(objects))
-        out, opos = _lists(dom, len(objects))
-        homs: list[list[list[int]]] = [[[] for _ in objects] for _ in objects]
-        for i, (a, b) in enumerate(zip(dom, cod)):
-            homs[a][b].append(i)
-        self.objects = objects
-        self.object_ids = object_ids
-        self.names = tuple(ids)
-        self.ids = ids
-        self.dom = dom
-        self.cod = cod
-        self.homs = [list(map(tuple, row)) for row in homs]
-        self.into = into
-        self.out = out
-        self.pos = pos
-        self.opos = opos
-        self.rows = rows
+        into: list[list[int]] = [[] for _ in objects]
+        out: list[list[int]] = [[] for _ in objects]
+        pos, opos = [], []
+        for i, a, b in zip(range(len(dom)), dom, cod):
+            to, start = into[b], out[a]
+            pos.append(len(to))
+            to.append(i)
+            opos.append(len(start))
+            start.append(i)
+        homs: list[list[tuple[int, ...]]] = [[()] * len(objects) for _ in objects]
+        for start, row in zip(out, homs):
+            for b, arrows in groupby(start, cod.__getitem__):
+                row[b] += tuple(arrows)
+        self.objects, self.object_ids, self.names, self.ids = objects, object_ids, tuple(ids), ids
+        self.dom, self.cod, self.homs, self.identity = dom, cod, homs, identity
+        self.into, self.out, self.pos, self.opos, self.rows = into, out, pos, opos, rows
         self.cols = Lazy(column or (lambda f: tuple([rows[g][pos[f]] for g in out[cod[f]]])))
-        self.identity = identity
         self.gens: list[int] | None = None
         self.lawful: bool | None = None
 
@@ -391,8 +370,8 @@ def _read_tables(C: FiniteCategory) -> Kernel:
         if extra not in obj_ids:
             raise MalformedTable(f"identity table mentions unknown object {extra!r}")
 
-    into, pos = _lists(cod, len(objects))
-    out = _lists(dom, len(objects))[0]
+    K = Kernel(objects, obj_ids, ids, dom, cod, identity, [])  # rows are filled in below
+    into, pos, out = K.into, K.pos, K.out
     rows: list[list] = [[None] * len(into[d]) for d in dom]
     for (g, f), h in C.composition.items():
         gi, fi, hi = ids.get(g), ids.get(f), ids.get(h)
@@ -412,7 +391,36 @@ def _read_tables(C: FiniteCategory) -> Kernel:
                         "compose table is partial: missing entry for "
                         f"({C.arrows[gi].name!r}, {f!r})"
                     )
-    return Kernel(objects, obj_ids, ids, dom, cod, identity, [tuple(row) for row in rows])
+    K.rows.extend(map(tuple, rows))
+    return K
+
+
+class Arrows(Sequence):
+    """The arrows of a category built by id, each made when it is read; it
+    compares equal to the tuple of the same arrows."""
+
+    __slots__ = ("_kernel",)
+
+    def __init__(self, kernel: Kernel):
+        self._kernel = kernel
+
+    def __len__(self) -> int:
+        return len(self._kernel.names)
+
+    def __getitem__(self, i):
+        K = self._kernel
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return Arrow(K.names[i], K.objects[K.dom[i]], K.objects[K.cod[i]])
+
+    def __iter__(self) -> Iterator[Arrow]:
+        K, at = self._kernel, self._kernel.objects.__getitem__
+        return map(Arrow, K.names, map(at, K.dom), map(at, K.cod))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, Arrows)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
 
 
 class Composites(Mapping):
@@ -488,13 +496,10 @@ def validate(C: FiniteCategory) -> AxiomReport:
 
     for a, i in enumerate(K.identity):
         if dom[i] != a or cod[i] != a:
-            violations.append(
-                Violation(
-                    "identity-typing",
-                    (names[i],),
-                    f"identity of {objects[a]!r} is typed {objects[dom[i]]!r}->{objects[cod[i]]!r}",
-                )
-            )
+            violations.append(Violation(
+                "identity-typing", (names[i],),
+                f"identity of {objects[a]!r} is typed {objects[dom[i]]!r}->{objects[cod[i]]!r}",
+            ))
 
     # g∘f is well typed when its domains, read along the row of g, are those
     # of the arrows into dom g and its codomains are all cod g.
@@ -554,13 +559,10 @@ def validate(C: FiniteCategory) -> AxiomReport:
     if K.lawful:
         return AxiomReport(True, ())
     for f, g, h, lhs, rhs in sorted(breaks(range(len(names))), key=lambda v: v[:3]):
-        violations.append(
-            Violation(
-                "associativity",
-                (names[h], names[g], names[f]),
-                f"h∘(g∘f) = {_name(names, lhs)!r} but (h∘g)∘f = {_name(names, rhs)!r}",
-            )
-        )
+        violations.append(Violation(
+            "associativity", (names[h], names[g], names[f]),
+            f"h∘(g∘f) = {_name(names, lhs)!r} but (h∘g)∘f = {_name(names, rhs)!r}",
+        ))
     return AxiomReport.from_violations(violations)
 
 

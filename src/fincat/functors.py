@@ -17,7 +17,6 @@ from .builders import (
     _function_arrow_name,
     build_finset,
     monoid_as_category,
-    poset_arrow_name,
     poset_as_category,
     poset_from_category,
     subset_label,
@@ -78,51 +77,36 @@ def check_functoriality(F: Functor) -> AxiomReport:
     mismatch every row is compared.
     """
     src, tgt = F.source, F.target
-    tgt_objects = frozenset(tgt.objects)
-    tgt_arrows = frozenset(tgt.all_arrows())
-    for a in src.objects:
-        if a not in F.object_map:
-            raise MalformedMap(f"object map is undefined on {a!r}")
-        if F.object_map[a] not in tgt_objects:
-            raise MalformedMap(
-                f"object map sends {a!r} to unknown object {F.object_map[a]!r}"
-            )
-    for f in src.all_arrows():
-        if f not in F.arrow_map:
-            raise MalformedMap(f"arrow map is undefined on {f!r}")
-        if F.arrow_map[f] not in tgt_arrows:
-            raise MalformedMap(
-                f"arrow map sends {f!r} to unknown arrow {F.arrow_map[f]!r}"
-            )
+    for kind, table, keys, known in (
+        ("object", F.object_map, src.objects, frozenset(tgt.objects)),
+        ("arrow", F.arrow_map, src.all_arrows(), frozenset(tgt.all_arrows())),
+    ):
+        for x in keys:
+            if x not in table:
+                raise MalformedMap(f"{kind} map is undefined on {x!r}")
+            if table[x] not in known:
+                raise MalformedMap(f"{kind} map sends {x!r} to unknown {kind} {table[x]!r}")
 
     S, T = src.kernel(), tgt.kernel()
-    violations: list[Violation] = []
-    for arr in src.arrows:
-        image = F.arrow_map[arr.name]
-        want_dom = F.object_map[arr.dom]
-        want_cod = F.object_map[arr.cod]
-        if tgt.dom(image) != want_dom or tgt.cod(image) != want_cod:
-            violations.append(
-                Violation(
-                    "arrow-typing",
-                    (arr.name,),
-                    f"image {image!r} is typed {tgt.dom(image)!r}->{tgt.cod(image)!r}, "
-                    f"expected {want_dom!r}->{want_cod!r}",
-                )
-            )
-    typed = not violations
-    for a in src.objects:
-        image = F.arrow_map[src.identity(a)]
-        expected = tgt.identity(F.object_map[a])
-        if image != expected:
-            violations.append(
-                Violation(
-                    "identity-preservation",
-                    (src.identity(a),),
-                    f"identity of {a!r} maps to {image!r}, expected {expected!r}",
-                )
-            )
+    at = [T.object_ids[F.object_map[a]] for a in S.objects]
     image_of = [T.ids[F.arrow_map[f]] for f in S.names]
+    violations: list[Violation] = []
+    for f, (Ff, a, b) in enumerate(zip(image_of, S.dom, S.cod)):
+        if T.dom[Ff] != at[a] or T.cod[Ff] != at[b]:
+            violations.append(Violation(
+                "arrow-typing", (S.names[f],),
+                f"image {T.names[Ff]!r} is typed {T.objects[T.dom[Ff]]!r}->"
+                f"{T.objects[T.cod[Ff]]!r}, expected {T.objects[at[a]]!r}->{T.objects[at[b]]!r}",
+            ))
+    typed = not violations
+    for a, i in enumerate(S.identity):
+        expected = T.identity[at[a]]
+        if image_of[i] != expected:
+            violations.append(Violation(
+                "identity-preservation", (S.names[i],),
+                f"identity of {S.objects[a]!r} maps to {T.names[image_of[i]]!r}, "
+                f"expected {T.names[expected]!r}",
+            ))
     # With every image well typed, F(g)∘F(f) for all f into a is the row of
     # F(g) read at the positions of the F(f); otherwise pair by pair.
     pick = [take([T.pos[image_of[f]] for f in fs]) for fs in S.into] if typed else None
@@ -140,14 +124,10 @@ def check_functoriality(F: Functor) -> AxiomReport:
     if not violations and S.lawful and T.lawful and not any(breaks(S.generators())):
         return AxiomReport(True, ())
     for f, g, lhs, rhs in sorted(breaks(range(len(S.names)))):
-        violations.append(
-            Violation(
-                "composition-preservation",
-                (S.names[g], S.names[f]),
-                f"F(g∘f) = {T.names[lhs]!r} but F(g)∘F(f) = "
-                f"{None if rhs is None else T.names[rhs]!r}",
-            )
-        )
+        violations.append(Violation(
+            "composition-preservation", (S.names[g], S.names[f]),
+            f"F(g∘f) = {T.names[lhs]!r} but F(g)∘F(f) = {None if rhs is None else T.names[rhs]!r}",
+        ))
     return AxiomReport.from_violations(violations)
 
 
@@ -226,13 +206,16 @@ def powerset_functor(fs: FinSetCategory, budget: int = DEFAULT_BUDGET) -> Functo
 
 
 def monotone_as_functor(m: MonotoneMap) -> Functor:
-    """A monotone map as the functor between the induced thin categories."""
-    source = poset_as_category(m.dom)
-    target = poset_as_category(m.cod)
+    """A monotone map as the functor between the induced thin categories,
+    those that :func:`~fincat.builders.poset_as_category` keeps on the
+    posets: the arrow a <= b goes to the one arrow m(a) <= m(b)."""
+    source, target = poset_as_category(m.dom), poset_as_category(m.cod)
+    S, T = source.kernel(), target.kernel()
+    image = m.image
+    arrow_map = dict(
+        zip(S.names, [T.names[T.homs[image[a]][image[b]][0]] for a, b in zip(S.dom, S.cod)])
+    )
     object_map = {x: m(x) for x in m.dom.elements}
-    arrow_map = {
-        arr.name: poset_arrow_name(m(arr.dom), m(arr.cod)) for arr in source.arrows
-    }
     return Functor(source, target, object_map, arrow_map)
 
 

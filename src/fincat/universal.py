@@ -120,9 +120,9 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
     is empty when no product exists.  Mediator search is pure enumeration of
     hom-sets, in hom order, so results are deterministic.
 
-    An apex is skipped when, for some z, hom(z, apex) has fewer arrows than
-    there are cones over (a, b) from z: each cone needs a mediator of its
-    own, so some cone would lack one whatever the projections.
+    An apex is skipped when, for some z, hom(z, apex) and the cones over
+    (a, b) from z differ in size: a product makes h |-> (p1∘h, p2∘h) a
+    bijection from the one onto the other, whatever the projections.
     """
     K = C.kernel()
     certificates = []
@@ -133,7 +133,7 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
         if p2s:
             if cones is None:
                 cones = [len(K.hom(z, a)) * len(K.hom(z, b)) for z in C.objects]
-            if any(len(K.hom(z, apex)) < n for z, n in zip(C.objects, cones)):
+            if any(len(K.hom(z, apex)) != n for z, n in zip(C.objects, cones)):
                 continue
         for p1 in p1s:
             for p2 in p2s:

@@ -146,6 +146,19 @@ class TestExitCodes:
         assert doc["status"] == "fail"
         assert doc["witnesses"]
 
+    def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(self):
+        # the read end is closed before the first write, as `| head -n 1`
+        # closes it after the first line of a long report
+        src = str(Path(__file__).parent.parent / "src")
+        argv = ["--json", "predicates", str(FIXTURES / "finset.json")]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fincat.cli", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (1, b"")
+
 
 class TestVerbs:
     def test_predicates_single_arrow(self):

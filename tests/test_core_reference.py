@@ -26,9 +26,9 @@ from fincat.builders import (
 )
 from fincat.core import Arrow, FiniteCategory, materialize, validate
 from fincat.errors import MalformedMap, MalformedTable, UnknownArrow, UnknownObject
-from fincat.formats import dump_category
-from fincat.functors import Functor, check_functoriality
-from fincat.galois import FinitePoset
+from fincat.formats import dump_category, parse_category
+from fincat.functors import Functor, check_functoriality, monotone_as_functor
+from fincat.galois import FinitePoset, MonotoneMap
 from fincat.nno import nno_search
 from fincat.universal import find_products
 
@@ -38,13 +38,17 @@ SETTINGS = settings(
 
 
 @st.composite
-def posets(draw):
+def finite_posets(draw):
     n = draw(st.integers(0, 5))
     elements = [f"p{i}" for i in range(n)]
     pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))), max_size=2 * n))
     # pairs point up the element order, so the closure is antisymmetric
     covers = [(elements[min(i, j)], elements[max(i, j)]) for i, j in pairs if n]
-    return poset_as_category(FinitePoset.from_relation(elements, covers))
+    return FinitePoset.from_relation(elements, covers)
+
+
+def posets():
+    return finite_posets().map(poset_as_category)
 
 
 @st.composite
@@ -600,3 +604,61 @@ def test_predicates_match_the_reference_on_every_arrow(C):
             for name in PREDICATES:
                 new = outcome(lambda: getattr(core, name)(C, f, budget))
                 assert new == outcome(lambda: getattr(ref, name)(C, f, budget)), (f, budget, name)
+
+
+def answers_by_name(C) -> dict:
+    """What C answers when asked by name: hom-sets, ends, composites and
+    identities, and the verdicts of the deciders."""
+    objects, arrows = C.objects, list(C.all_arrows())
+    ends = {f: (C.dom(f), C.cod(f)) for f in arrows}
+    return {
+        "homs": {(a, b): C.hom(a, b) for a in objects for b in objects},
+        "ends": ends,
+        "composites": {
+            (g, f): C.compose(g, f) for f in arrows for g in arrows if ends[f][1] == ends[g][0]
+        },
+        "identities": {a: C.identity(a) for a in objects},
+        "validate": validate(C),
+        "predicates": [[getattr(core, name)(C, f) for name in PREDICATES] for f in arrows],
+        "products": {
+            (a, b): [(c.cone, dict(c.mediators)) for c in find_products(C, a, b)]
+            for a in objects
+            for b in objects
+        },
+        "terminals": universal.find_terminals(C),
+    }
+
+
+@SETTINGS
+@given(lawful_categories)
+@example(build_mat(2, 2))
+def test_a_built_category_and_its_dumped_tables_agree_by_name(C):
+    """A builder hands over ids and names are made on read; a category read
+    from its dumped tables maps names to ids itself.  The two must be the
+    same category to every question asked by name, and answer as the plain
+    document does."""
+    doc = json.loads(json.dumps(dump_category(C)))
+    D = parse_category(doc)
+    assert C == D and D == C
+    answers = answers_by_name(C)
+    assert answers == answers_by_name(D)
+    objects, arrows = doc["objects"], [(x["name"], x["dom"], x["cod"]) for x in doc["arrows"]]
+    assert answers["ends"] == {f: (a, b) for f, a, b in arrows}
+    assert answers["homs"] == {
+        (a, b): tuple(f for f, x, y in arrows if (x, y) == (a, b)) for a in objects for b in objects
+    }
+    assert answers["composites"] == {(e["after"], e["then"]): e["is"] for e in doc["compose"]}
+    assert answers["identities"] == doc["identities"]
+
+
+@SETTINGS
+@given(finite_posets())
+def test_a_poset_keeps_its_thin_category_for_its_monotone_maps(P):
+    C = poset_as_category(P)
+    assert poset_as_category(P) is C
+    top = FinitePoset.chain(["top"])
+    for m in (MonotoneMap.identity(P), MonotoneMap(P, top, {x: "top" for x in P.elements})):
+        F = monotone_as_functor(m)
+        assert F.source is C and F.target is poset_as_category(m.cod)
+        assert F.arrow_map == {f: f"{m(C.dom(f))}<={m(C.cod(f))}" for f in C.all_arrows()}
+        assert check_functoriality(F).ok
