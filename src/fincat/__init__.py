@@ -28,6 +28,7 @@ from .core import (
     is_isomorphism,
     is_monic,
     materialize,
+    opposite,
     validate,
 )
 from .firstorder import (
@@ -91,6 +92,8 @@ from .universal import (
     Cone,
     IsoCertificate,
     ProductCertificate,
+    find_coproducts,
+    find_initials,
     find_products,
     find_terminals,
     finite_product,

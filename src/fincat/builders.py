@@ -408,10 +408,9 @@ def poset_as_category(P: FinitePoset) -> FiniteCategory:
 
 def poset_from_category(C: FiniteCategory) -> FinitePoset:
     """Read a thin category back as the poset of its nonempty hom-sets."""
-    leq = frozenset(
-        (a, b) for a in C.objects for b in C.objects if C.hom(a, b)
-    )
-    return FinitePoset(C.objects, leq)
+    objects, homs = C.objects, C.kernel().homs
+    leq = frozenset((a, b) for a, row in zip(objects, homs) for b, hom in zip(objects, row) if hom)
+    return FinitePoset(objects, leq)
 
 
 def monoid_as_category(M: FiniteMonoid, object_name: str = "*") -> FiniteCategory:

@@ -12,8 +12,7 @@ and Burstall's *Computational Category Theory* (1988).  Arrow ids follow
 arrow g keeps its postcomposition row, the id of g∘f for every f into
 dom g.  Composing is then two list lookups, associativity is the row
 identity ``row(h∘g) == row(h)∘row(g)``, f is monic when its row repeats no
-id within a hom, and epic when its column (g∘f for every g out of cod f)
-does not.
+id within a hom, and epic when it is monic in C^op.
 
 The laws are decided on a set G of arrows that generates the category, by
 Light's associativity test (Clifford and Preston, *The Algebraic Theory of
@@ -174,13 +173,7 @@ class FiniteCategory:
         kernel.  ``fields`` are the extra fields of a subclass ``cls``.
         """
         object_ids, ids = _ids(objects, names)
-        K = Kernel(objects, object_ids, ids, dom, cod, identity, rows, column)
-        C = object.__new__(cls)  # no __post_init__: the kernel has the ids
-        identities = {a: names[i] for a, i in zip(objects, identity)}
-        C.__dict__.update(objects=objects, arrows=Arrows(K), identities=identities,
-                          composition=Composites(K), _object_ids=object_ids, _arrow_ids=ids,
-                          _kernel=K, **fields)
-        return C
+        return _of(Kernel(objects, object_ids, ids, dom, cod, identity, rows, column), cls, **fields)
 
 
 def _ids(objects: Sequence[ObjectId], names: Sequence[ArrowId]) -> tuple[dict, dict]:
@@ -192,6 +185,23 @@ def _ids(objects: Sequence[ObjectId], names: Sequence[ArrowId]) -> tuple[dict, d
         repeated = next(f for i, f in enumerate(names) if f in names[:i])
         raise MalformedTable(f"duplicate arrow name {repeated!r}")
     return object_ids, ids
+
+
+def _of(K: Kernel, cls: type = FiniteCategory, **fields) -> FiniteCategory:
+    """The category ``cls`` whose only tables are the kernel K."""
+    C = object.__new__(cls)  # no __post_init__: the kernel has the ids
+    identities = {a: K.names[i] for a, i in zip(K.objects, K.identity)}
+    C.__dict__.update(objects=K.objects, arrows=Arrows(K), identities=identities,
+                      composition=Composites(K), _object_ids=K.object_ids, _arrow_ids=K.ids,
+                      _kernel=K, **fields)
+    return C
+
+
+def opposite(C: FiniteCategory) -> FiniteCategory:
+    """C^op: the objects and arrow names of C, each arrow reversed, and g∘f
+    in C^op named as f∘g in C.  It is made from :meth:`Kernel.op`, so every
+    decider run on it is the dual decider on C."""
+    return _of(C.kernel().op())
 
 
 @dataclass(frozen=True)
@@ -246,14 +256,13 @@ class Kernel:
     ``object_ids`` map the names back to ids.  ``dom`` and ``cod`` give
     object ids, and ``homs[a][b]`` the ids of the arrows a -> b.
     ``into[k]`` and ``out[k]`` list the arrows into and out of object k in
-    arrow order; ``pos[f]`` is f's index in ``into[cod f]`` and ``opos[f]``
-    in ``out[dom f]``.  ``rows[g][pos[f]]`` is the id of g∘f: the row of g
-    is its action by postcomposition on the arrows into its domain.
-    ``rows`` may be any table indexed by arrow id, such as a :class:`Lazy`
-    one that makes each row when it is first read.  ``cols[f][opos[g]]`` is
-    the same id, read as the column of f over the arrows out of its
-    codomain; columns are made on first use, by ``column(f)`` when it is
-    given and from the rows otherwise.
+    arrow order, and ``pos[f]`` is f's index in ``into[cod f]``.
+    ``rows[g][pos[f]]`` is the id of g∘f: the row of g is its action by
+    postcomposition on the arrows into its domain.  ``rows`` may be any
+    table indexed by arrow id, such as a :class:`Lazy` one that makes each
+    row when it is first read.  :meth:`op` is the kernel of C^op, whose
+    rows are the columns of C (f∘g for every f out of cod g), each made on
+    first read by ``column(g)`` when it is given and from the rows otherwise.
 
     The constructor takes the tables by id, and the name maps from the
     category, and checks nothing.  :meth:`FiniteCategory.kernel` reads user
@@ -264,7 +273,7 @@ class Kernel:
 
     __slots__ = (
         "objects", "object_ids", "names", "ids", "dom", "cod", "homs",
-        "into", "out", "pos", "opos", "rows", "cols", "identity", "gens", "lawful",
+        "into", "out", "pos", "rows", "column", "identity", "gens", "lawful", "_op",
     )
 
     def __init__(
@@ -274,23 +283,31 @@ class Kernel:
     ):
         into: list[list[int]] = [[] for _ in objects]
         out: list[list[int]] = [[] for _ in objects]
-        pos, opos = [], []
+        pos = []
         for i, a, b in zip(range(len(dom)), dom, cod):
-            to, start = into[b], out[a]
-            pos.append(len(to))
-            to.append(i)
-            opos.append(len(start))
-            start.append(i)
+            pos.append(len(into[b]))
+            into[b].append(i)
+            out[a].append(i)
         homs: list[list[tuple[int, ...]]] = [[()] * len(objects) for _ in objects]
         for start, row in zip(out, homs):
             for b, arrows in groupby(start, cod.__getitem__):
                 row[b] += tuple(arrows)
         self.objects, self.object_ids, self.names, self.ids = objects, object_ids, tuple(ids), ids
         self.dom, self.cod, self.homs, self.identity = dom, cod, homs, identity
-        self.into, self.out, self.pos, self.opos, self.rows = into, out, pos, opos, rows
-        self.cols = Lazy(column or (lambda f: tuple([rows[g][pos[f]] for g in out[cod[f]]])))
+        self.into, self.out, self.pos, self.rows, self.column = into, out, pos, rows, column
         self.gens: list[int] | None = None
         self.lawful: bool | None = None
+        self._op: Kernel | None = None
+
+    def op(self) -> "Kernel":
+        """The kernel of C^op, with dom and cod swapped and the columns of C
+        as its rows; made once and kept, with no reference back to this one."""
+        if self._op is None:
+            rows, pos, out, cod = self.rows, self.pos, self.out, self.cod
+            column = self.column or (lambda g: tuple([rows[f][pos[g]] for f in out[cod[g]]]))
+            self._op = Kernel(self.objects, self.object_ids, self.ids, cod, self.dom,
+                              self.identity, Lazy(column), rows.__getitem__)
+        return self._op
 
     def generators(self) -> list[int]:
         """Arrows G of which, with the identities, every arrow is a
@@ -585,23 +602,24 @@ class _Budget:
             )
 
 
-def _first_repeat(K, line, at, homs, budget: int) -> tuple[ArrowId, ArrowId] | None:
-    """First (g, h), g before h in one hom of ``homs``, with the same
-    composite ``line[at[g]] == line[at[h]]``, or None.
+def _monic(K: Kernel, f: ArrowId, budget: int) -> tuple[ArrowId, ArrowId] | None:
+    """First (g, h), g before h in one hom into dom f, with f∘g = f∘h, or None.
 
-    A line that repeats no id has no such pair.  Otherwise the homs are
-    scanned in order, each charged to the budget before it is read, so the
-    budget raises at the same point as a search hom by hom.
+    A row of f that repeats no id has no such pair; otherwise the homs are
+    scanned in object order, each charged to the budget before it is read,
+    so that the budget raises where a search hom by hom would.
     """
+    f = K.arrow_id(f)
+    row, pos, source = K.rows[f], K.pos, K.dom[f]
     meter = _Budget(budget)
-    if len(set(line)) == len(line):
-        meter.charge(len(line))
+    if len(set(row)) == len(row):
+        meter.charge(len(row))
         return None
-    for hom in homs:
+    for hom in [homs[source] for homs in K.homs]:
         meter.charge(len(hom))
         first_with: dict = {}
         for g in hom:
-            composite = line[at[g]]
+            composite = row[pos[g]]
             if composite in first_with:
                 return (K.names[first_with[composite]], K.names[g])
             first_with[composite] = g
@@ -611,16 +629,9 @@ def _first_repeat(K, line, at, homs, budget: int) -> tuple[ArrowId, ArrowId] | N
 def monic_counterexample(
     C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> tuple[ArrowId, ArrowId] | None:
-    """First pair (g, h) with f∘g = f∘h but g ≠ h, or None if f is monic.
-
-    f∘g is read off the row of f; the pairs are searched hom by hom, in
-    object order and then hom order.
-    """
-    K = C.kernel()
-    f = K.arrow_id(f)
-    source = K.dom[f]
-    homs = (K.homs[z][source] for z in range(len(K.objects)))
-    return _first_repeat(K, K.rows[f], K.pos, homs, budget)
+    """First pair (g, h) with f∘g = f∘h but g ≠ h, or None if f is monic;
+    the pairs are searched hom by hom, in object order and then hom order."""
+    return _monic(C.kernel(), f, budget)
 
 
 def is_monic(C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
@@ -631,16 +642,9 @@ def is_monic(C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET) -> boo
 def epic_counterexample(
     C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> tuple[ArrowId, ArrowId] | None:
-    """First pair (g, h) with g∘f = h∘f but g ≠ h, or None if f is epic.
-
-    g∘f is read off the column of f; the pairs are searched hom by hom, in
-    object order and then hom order.
-    """
-    K = C.kernel()
-    f = K.arrow_id(f)
-    target = K.cod[f]
-    homs = (K.homs[target][z] for z in range(len(K.objects)))
-    return _first_repeat(K, K.cols[f], K.opos, homs, budget)
+    """First pair (g, h) with g∘f = h∘f but g ≠ h, or None if f is epic:
+    the monic search run on C^op, in the same order."""
+    return _monic(C.kernel().op(), f, budget)
 
 
 def is_epic(C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET) -> bool:
@@ -664,7 +668,8 @@ def find_inverse(
     id_a, id_b = K.identity[a], K.identity[b]
     candidates = K.homs[b][a]
     _Budget(budget).charge(len(candidates))
-    row, col, pos, opos = K.rows[f], K.cols[f], K.pos, K.opos
+    op = K.op()
+    row, col, pos, opos = K.rows[f], op.rows[f], K.pos, op.pos
     matches = [
         K.names[g] for g in candidates if col[opos[g]] == id_a and row[pos[g]] == id_b
     ]

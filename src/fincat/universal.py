@@ -1,6 +1,7 @@
 """Universal constructions found by exhaustive search: terminal objects,
 binary and finite products, and uniqueness-up-to-unique-isomorphism
-certificates.
+certificates.  Initial objects and coproducts are the terminal objects and
+products of the opposite category.
 
 A product certificate records the apex with its projections and the full
 mediator table (one entry per cone), so the uniqueness claims can be
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import ArrowId, FiniteCategory, Kernel, ObjectId
+from .core import ArrowId, FiniteCategory, Kernel, ObjectId, opposite
 from .errors import NotAProduct, NotTerminal
 
 
@@ -61,6 +62,11 @@ def find_terminals(C: FiniteCategory) -> list[ObjectId]:
     return [K.objects[t] for t in span if all(len(K.homs[a][t]) == 1 for a in span)]
 
 
+def find_initials(C: FiniteCategory) -> list[ObjectId]:
+    """All objects I with exactly one arrow out of I to every object."""
+    return find_terminals(opposite(C))
+
+
 def terminal_iso_certificate(
     C: FiniteCategory, t: ObjectId, t_prime: ObjectId
 ) -> IsoCertificate:
@@ -74,18 +80,15 @@ def terminal_iso_certificate(
     for obj in (t, t_prime):
         if obj not in terminals:
             raise NotTerminal(f"object {obj!r} is not terminal")
-    (forward,) = C.hom(t, t_prime)
-    (backward,) = C.hom(t_prime, t)
-    checks = []
-    round_trip = C.compose(backward, forward)
-    if round_trip != C.identity(t):
-        raise NotTerminal(f"composite {round_trip!r} is not the identity of {t!r}")
-    checks.append(f"{backward}∘{forward} = {C.identity(t)}")
-    round_trip = C.compose(forward, backward)
-    if round_trip != C.identity(t_prime):
-        raise NotTerminal(f"composite {round_trip!r} is not the identity of {t_prime!r}")
-    checks.append(f"{forward}∘{backward} = {C.identity(t_prime)}")
-    return IsoCertificate(forward, backward, tuple(checks))
+    K = C.kernel()
+    (forward,), (backward,) = K.hom(t, t_prime), K.hom(t_prime, t)
+    names, checks = K.names, []
+    for g, f, end in ((backward, forward, t), (forward, backward, t_prime)):
+        round_trip, identity = K.compose(g, f), K.identity[K.object_ids[end]]
+        if round_trip != identity:
+            raise NotTerminal(f"composite {names[round_trip]!r} is not the identity of {end!r}")
+        checks.append(f"{names[g]}∘{names[f]} = {names[identity]}")
+    return IsoCertificate(names[forward], names[backward], tuple(checks))
 
 
 def _universal_mediators(
@@ -144,6 +147,13 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
     return certificates
 
 
+def find_coproducts(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCertificate]:
+    """The products of (a, b) in the opposite category: each cone is a
+    cocone, ``pi1`` and ``pi2`` are the injections a -> apex and b -> apex,
+    and each mediator goes out of the apex, keyed by the cocone it factors."""
+    return find_products(opposite(C), a, b)
+
+
 def is_equational_product(
     C: FiniteCategory, a: ObjectId, b: ObjectId, apex: ObjectId, p1: ArrowId, p2: ArrowId
 ) -> bool:
@@ -176,13 +186,20 @@ def verify_equational_product(C: FiniteCategory, cert: ProductCertificate) -> bo
     returns False as soon as some h differs from the recorded mediator of its
     own cone (or that cone is missing from the table).
     """
-    apex = cert.apex
-    for z in C.objects:
-        for h in C.hom(z, apex):
-            cone = Cone(z, C.compose(cert.pi1, h), C.compose(cert.pi2, h))
-            if cert.mediators.get(cone) != h:
+    K = C.kernel()
+    names, p1, p2 = K.names, K.arrow_id(cert.pi1), K.arrow_id(cert.pi2)
+    for z in K.objects:
+        for h in K.hom(z, cert.apex):
+            cone = Cone(z, names[_after(C, p1, h)], names[_after(C, p2, h)])
+            if cert.mediators.get(cone) != names[h]:
                 return False
     return True
+
+
+def _after(C: FiniteCategory, g: int, f: int) -> int:
+    """The id of g∘f; a pair that does not compose raises as ``C.compose`` does."""
+    K = C.kernel()
+    return K.rows[g][K.pos[f]] if K.cod[f] == K.dom[g] else C.compose(K.names[g], K.names[f])
 
 
 def product_iso_certificate(
@@ -197,31 +214,24 @@ def product_iso_certificate(
     pair1 = (C.cod(cert1.pi1), C.cod(cert1.pi2))
     pair2 = (C.cod(cert2.pi1), C.cod(cert2.pi2))
     if pair1 != pair2:
-        raise NotAProduct(
-            f"certificates concern different pairs {pair1!r} and {pair2!r}"
-        )
+        raise NotAProduct(f"certificates concern different pairs {pair1!r} and {pair2!r}")
     forward = cert2.mediators.get(cert1.cone)
     backward = cert1.mediators.get(cert2.cone)
     if forward is None or backward is None:
         raise NotAProduct("mediator tables do not cover the other certificate's cone")
     checks = []
-    composite = C.compose(backward, forward)
-    if composite != C.identity(cert1.apex):
-        raise NotAProduct(f"{backward!r}∘{forward!r} is not the identity")
-    checks.append(f"{backward}∘{forward} = {C.identity(cert1.apex)}")
-    composite = C.compose(forward, backward)
-    if composite != C.identity(cert2.apex):
-        raise NotAProduct(f"{forward!r}∘{backward!r} is not the identity")
-    checks.append(f"{forward}∘{backward} = {C.identity(cert2.apex)}")
+    for g, f, apex in ((backward, forward, cert1.apex), (forward, backward, cert2.apex)):
+        if C.compose(g, f) != C.identity(apex):
+            raise NotAProduct(f"{g!r}∘{f!r} is not the identity")
+        checks.append(f"{g}∘{f} = {C.identity(apex)}")
+    K = C.kernel()
+    p1, p2, q1, q2 = map(K.arrow_id, (cert1.pi1, cert1.pi2, cert2.pi1, cert2.pi2))
     respecting = [
-        w
-        for w in C.hom(cert1.apex, cert2.apex)
-        if C.compose(cert2.pi1, w) == cert1.pi1 and C.compose(cert2.pi2, w) == cert1.pi2
+        K.names[w] for w in K.hom(cert1.apex, cert2.apex)
+        if _after(C, q1, w) == p1 and _after(C, q2, w) == p2
     ]
     if respecting != [forward]:
-        raise NotAProduct(
-            f"expected exactly one projection-respecting arrow, found {respecting!r}"
-        )
+        raise NotAProduct(f"expected exactly one projection-respecting arrow, found {respecting!r}")
     checks.append(f"unique projection-respecting arrow: {forward}")
     return IsoCertificate(forward, backward, tuple(checks))
 

@@ -240,7 +240,7 @@ class TestMat:
         assert epic_counterexample(mat, "1x1[0]") == ("1x1[0]", "1x1[1]")
         assert find_inverse(mat, "1x1[0]") is None
         K = mat.kernel()
-        assert len(K.rows) == len(K.cols) == 2
+        assert len(K.rows) == len(K.op().rows) == 2
 
 
 class TestCanonicalNaming:
