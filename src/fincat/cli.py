@@ -8,6 +8,7 @@ malformed input.  Output is byte-stable for fixed inputs.
 ``--budget`` bounds finset, finrel and mat builder files, predicates,
 functor-check and fo-eval; validate, products and terminal search without
 a bound.  ``--cap`` applies to finset and finrel builder files and to wp.
+A negative ``--budget`` or ``--cap`` exits 2 before any verb runs.
 """
 
 from __future__ import annotations
@@ -336,6 +337,9 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     verb = VERBS[args.verb]
     try:
+        _require_nonnegative("--budget", args.budget)
+        if args.cap is not None:
+            _require_nonnegative("--cap", args.cap)
         ok, payload, witnesses, lines = verb.handler(args)
     except FincatError as exc:
         report = Report("error", args.verb, {"message": str(exc)}, [str(exc)])

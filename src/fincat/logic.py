@@ -3,15 +3,13 @@
 The three images of a function (direct, inverse, universal), the modal
 operator [R] alias weakest precondition with its left adjoint, Boolean and
 Heyting implication, and the exhaustive verifiers for each adjunction
-equivalence.  Subsets of a named universe are characteristic member sets and
-every check runs over ALL subset pairs or triples.
-
-The universal image (the codomain minus the images of the elements outside
-the subset) and ``box`` are one pass over the graph or the pairs: O(|dom| +
-|cod|) and O(|pairs| + |dom|).  Subsets of a poset are the int masks of
-:class:`~fincat.galois.FinitePoset`: S is down-closed when ``downs[i]`` lies
-inside S for each i in S, one AND per member; ``down_sets`` tests all 2^n
-masks, O(2^n·n), and ``heyting_implication`` scans the down-sets, one AND each.
+equivalence.  A subset of a named universe is an int mask, bit i standing for
+``universe.elements[i]``; every check runs over ALL subset pairs or triples.
+A function or relation is read as its rows, the successor mask of each
+source.  Each operator is one int body, ``_post``, ``_box``, ``_universal``
+or ``_implies``, shared by the public function and the checkers, which
+compute each operator once per mask.  ``down_sets`` adds a poset's elements
+one at a time, below before above, in O(n·#down-sets).
 """
 
 from __future__ import annotations
@@ -20,99 +18,142 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .builders import FiniteFunction, FiniteRelation, NamedFiniteSet, subset_label
-from .errors import (
-    EnumerationBudgetExceeded,
-    NotDownClosed,
-    UniverseMismatch,
-    UnknownAtom,
-)
+from .errors import EnumerationBudgetExceeded, NotDownClosed, UniverseMismatch, UnknownAtom
 from .formulas import And, Atom, Box, Dia, Formula, Implies, Not, Or
 from .galois import FinitePoset, bits
 
 #: Universes are named finite sets; the alias keeps the logic-level name.
 Universe = NamedFiniteSet
+_MIXED = "subsets of {!r} and {!r} combined"
 
 
-@dataclass(frozen=True)
+def _rows(arrow) -> tuple[int, ...]:
+    """Each domain element's successor mask, kept on the function or relation as a
+    FiniteCategory keeps its kernel: its graph or pairs must not change afterwards."""
+    if "_rows" not in arrow.__dict__:
+        target = {y: i for i, y in enumerate(arrow.cod.elements)}
+        rows = dict.fromkeys(arrow.dom.elements, 0)
+        for x, y in arrow.graph.items() if isinstance(arrow, FiniteFunction) else arrow.pairs:
+            rows[x] |= 1 << target[y]
+        object.__setattr__(arrow, "_rows", tuple(rows.values()))
+    return arrow.__dict__["_rows"]
+
+
+def _full(universe: Universe) -> int:
+    return (1 << len(universe.elements)) - 1
+
+
+def _names(universe: Universe, mask: int) -> tuple:
+    return tuple(universe.elements[i] for i in bits(mask))
+
+
+@dataclass(frozen=True, init=False)
 class SubsetOf:
-    """A subset of a universe, stored as its characteristic member set."""
+    """A subset of a universe as an int mask, bit i standing for
+    ``universe.elements[i]``; equality and hashing read the two fields, and
+    ``members`` is the frozenset the mask decodes to."""
 
     universe: Universe
-    members: frozenset
+    mask: int
 
-    def __post_init__(self):
-        stray = self.members - set(self.universe.elements)
-        if stray:
+    def __init__(self, universe: Universe, members):
+        at, members = {x: i for i, x in enumerate(universe.elements)}, set(members)
+        if stray := members - at.keys():
             raise UniverseMismatch(
-                f"members {sorted(map(str, stray))!r} are not in universe "
-                f"{self.universe.name!r}"
+                f"members {sorted(map(str, stray))!r} are not in universe {universe.name!r}"
             )
+        vars(self).update(universe=universe, mask=sum(1 << at[x] for x in members))
 
     @classmethod
     def of(cls, universe: Universe, members) -> "SubsetOf":
-        return cls(universe, frozenset(members))
+        return cls(universe, members)
 
     @classmethod
     def full(cls, universe: Universe) -> "SubsetOf":
-        return cls(universe, frozenset(universe.elements))
+        return _subset(universe, _full(universe))
 
     @classmethod
     def empty(cls, universe: Universe) -> "SubsetOf":
-        return cls(universe, frozenset())
+        return _subset(universe, 0)
 
-    def _require_same(self, other: "SubsetOf") -> None:
-        if self.universe != other.universe:
-            raise UniverseMismatch(
-                f"subsets of {self.universe.name!r} and {other.universe.name!r} combined"
-            )
+    @property
+    def members(self) -> frozenset:
+        return frozenset(_names(self.universe, self.mask))
 
     def complement(self) -> "SubsetOf":
-        return SubsetOf(self.universe, frozenset(self.universe.elements) - self.members)
+        return _subset(self.universe, _full(self.universe) & ~self.mask)
 
     def union(self, other: "SubsetOf") -> "SubsetOf":
-        self._require_same(other)
-        return SubsetOf(self.universe, self.members | other.members)
+        _require_over(other, self.universe)
+        return _subset(self.universe, self.mask | other.mask)
 
     def intersect(self, other: "SubsetOf") -> "SubsetOf":
-        self._require_same(other)
-        return SubsetOf(self.universe, self.members & other.members)
+        _require_over(other, self.universe)
+        return _subset(self.universe, self.mask & other.mask)
 
     def included_in(self, other: "SubsetOf") -> bool:
-        self._require_same(other)
-        return self.members <= other.members
+        _require_over(other, self.universe)
+        return not self.mask & ~other.mask
 
     def sorted_members(self) -> tuple:
-        order = {x: i for i, x in enumerate(self.universe.elements)}
-        return tuple(sorted(self.members, key=order.__getitem__))
+        return _names(self.universe, self.mask)
+
+
+def _require_over(s: SubsetOf, universe: Universe, message: str = _MIXED) -> None:
+    """Refuse a subset of another universe; ``message`` may name both."""
+    if s.universe is not universe and s.universe != universe:
+        raise UniverseMismatch(message.format(universe.name, s.universe.name))
+
+
+def _subset(universe: Universe, mask: int) -> SubsetOf:
+    subset = object.__new__(SubsetOf)
+    subset.__dict__["universe"], subset.__dict__["mask"] = universe, mask
+    return subset
 
 
 def subsets(universe: Universe) -> Iterator[SubsetOf]:
     """All subsets in a fixed order (bitmask over the element order)."""
-    elems = universe.elements
-    for mask in range(2 ** len(elems)):
-        yield SubsetOf(universe, frozenset(elems[i] for i in bits(mask)))
+    return (_subset(universe, mask) for mask in range(1 << len(universe.elements)))
+
+
+def _post(rows: tuple[int, ...], s: int) -> int:
+    """Everything some member of ``s`` reaches."""
+    found = 0
+    for i in bits(s):
+        found |= rows[i]
+    return found
+
+
+def _box(rows: tuple[int, ...], t: int) -> int:
+    """The sources all of whose successors lie in ``t``."""
+    return sum(1 << i for i, row in enumerate(rows) if not row & ~t)
+
+
+def _universal(rows: tuple[int, ...], s: int, cod_full: int) -> int:
+    """The targets reached from no element outside ``s``."""
+    return cod_full & ~_post(rows, ((1 << len(rows)) - 1) & ~s)
+
+
+def _implies(full: int, y: int, z: int) -> int:
+    return full & ~y | z
 
 
 def direct_image(f: FiniteFunction, s: SubsetOf) -> SubsetOf:
     """{ y | some x in s has f(x) = y } -- the left adjoint of inverse image."""
-    if s.universe != f.dom:
-        raise UniverseMismatch("subset is not over the function's domain")
-    return SubsetOf(f.cod, frozenset(f(x) for x in s.members))
+    _require_over(s, f.dom, "subset is not over the function's domain")
+    return _subset(f.cod, _post(_rows(f), s.mask))
 
 
 def inverse_image(f: FiniteFunction, t: SubsetOf) -> SubsetOf:
-    """{ x | f(x) in t }."""
-    if t.universe != f.cod:
-        raise UniverseMismatch("subset is not over the function's codomain")
-    return SubsetOf(f.dom, frozenset(x for x in f.dom.elements if f(x) in t.members))
+    """{ x | f(x) in t }: box along the graph, whose rows are single bits."""
+    _require_over(t, f.cod, "subset is not over the function's codomain")
+    return _subset(f.dom, _box(_rows(f), t.mask))
 
 
 def universal_image(f: FiniteFunction, s: SubsetOf) -> SubsetOf:
     """{ y | every x with f(x) = y lies in s } -- the right adjoint of inverse image."""
-    if s.universe != f.dom:
-        raise UniverseMismatch("subset is not over the function's domain")
-    missed = {f(x) for x in f.dom.elements if x not in s.members}
-    return SubsetOf(f.cod, frozenset(y for y in f.cod.elements if y not in missed))
+    _require_over(s, f.dom, "subset is not over the function's domain")
+    return _subset(f.cod, _universal(_rows(f), s.mask, _full(f.cod)))
 
 
 def _require_cap(cap: int, *universes: Universe) -> None:
@@ -129,42 +170,33 @@ class CheckReport:
     witnesses: tuple[str, ...]
 
 
+def _at(arrow, s: int, t: int) -> str:
+    return f"S={_names(arrow.dom, s)!r}, T={_names(arrow.cod, t)!r}"
+
+
 def check_quantifier_adjunctions(f: FiniteFunction, cap: int = 4) -> CheckReport:
-    """Verify both adjunction equivalences of the image triple over ALL
-    subset pairs of the function's universes."""
+    """Verify ∃f ⊣ f⁻¹ ⊣ ∀f over ALL subset pairs of the function's universes."""
     _require_cap(cap, f.dom, f.cod)
+    rows, cod_full = _rows(f), _full(f.cod)
+    dom_masks, cod_masks = range(1 << len(f.dom.elements)), range(cod_full + 1)
+    direct = [_post(rows, s) for s in dom_masks]
+    universal = [_universal(rows, s, cod_full) for s in dom_masks]
+    inverse = [_box(rows, t) for t in cod_masks]
     witnesses: list[str] = []
-    checked = 0
-    for s in subsets(f.dom):
-        for t in subsets(f.cod):
-            checked += 1
-            left = direct_image(f, s).included_in(t)
-            right = s.included_in(inverse_image(f, t))
-            if left != right:
-                witnesses.append(
-                    f"direct-image adjunction fails at S={s.sorted_members()!r}, "
-                    f"T={t.sorted_members()!r}"
-                )
-            left = inverse_image(f, t).included_in(s)
-            right = t.included_in(universal_image(f, s))
-            if left != right:
-                witnesses.append(
-                    f"universal-image adjunction fails at S={s.sorted_members()!r}, "
-                    f"T={t.sorted_members()!r}"
-                )
-    return CheckReport(ok=not witnesses, checked=checked, witnesses=tuple(witnesses))
+    for s in dom_masks:
+        for t in cod_masks:
+            if (not direct[s] & ~t) != (not s & ~inverse[t]):
+                witnesses.append(f"direct-image adjunction fails at {_at(f, s, t)}")
+            if (not inverse[t] & ~s) != (not t & ~universal[s]):
+                witnesses.append(f"universal-image adjunction fails at {_at(f, s, t)}")
+    return CheckReport(not witnesses, len(dom_masks) * len(cod_masks), tuple(witnesses))
 
 
 def box(r: FiniteRelation, t: SubsetOf) -> SubsetOf:
-    """[R]T: sources all of whose R-successors land in T.
-
-    Read over program states this is the weakest precondition of T under R;
-    it is the right adjoint of the post-image operator.
-    """
-    if t.universe != r.cod:
-        raise UniverseMismatch("target set is not over the relation's codomain")
-    escaping = {x for (x, y) in r.pairs if y not in t.members}
-    return SubsetOf(r.dom, frozenset(x for x in r.dom.elements if x not in escaping))
+    """[R]T: sources all of whose R-successors land in T, the weakest
+    precondition of T under R and the right adjoint of post-image."""
+    _require_over(t, r.cod, "target set is not over the relation's codomain")
+    return _subset(r.dom, _box(_rows(r), t.mask))
 
 
 #: Program-logic name for the same operator.
@@ -173,25 +205,23 @@ wp = box
 
 def relation_post_image(r: FiniteRelation, s: SubsetOf) -> SubsetOf:
     """{ y | some x in s is related to y } -- the left adjoint of box."""
-    if s.universe != r.dom:
-        raise UniverseMismatch("subset is not over the relation's domain")
-    return SubsetOf(r.cod, frozenset(y for (x, y) in r.pairs if x in s.members))
+    _require_over(s, r.dom, "subset is not over the relation's domain")
+    return _subset(r.cod, _post(_rows(r), s.mask))
 
 
 def check_box_adjunction(r: FiniteRelation, cap: int = 4) -> CheckReport:
     """Verify post-image ⊣ box over ALL subset pairs."""
     _require_cap(cap, r.dom, r.cod)
+    rows = _rows(r)
+    dom_masks, cod_masks = range(1 << len(r.dom.elements)), range(1 << len(r.cod.elements))
+    post = [_post(rows, s) for s in dom_masks]
+    boxed = [_box(rows, t) for t in cod_masks]
     witnesses: list[str] = []
-    checked = 0
-    for s in subsets(r.dom):
-        for t in subsets(r.cod):
-            checked += 1
-            if relation_post_image(r, s).included_in(t) != s.included_in(box(r, t)):
-                witnesses.append(
-                    f"box adjunction fails at S={s.sorted_members()!r}, "
-                    f"T={t.sorted_members()!r}"
-                )
-    return CheckReport(ok=not witnesses, checked=checked, witnesses=tuple(witnesses))
+    for s in dom_masks:
+        for t in cod_masks:
+            if (not post[s] & ~t) != (not s & ~boxed[t]):
+                witnesses.append(f"box adjunction fails at {_at(r, s, t)}")
+    return CheckReport(not witnesses, len(dom_masks) * len(cod_masks), tuple(witnesses))
 
 
 @dataclass(frozen=True)
@@ -217,13 +247,10 @@ class KripkeFrame:
 
 
 def eval_modal(frame: KripkeFrame, formula: Formula) -> SubsetOf:
-    """Worlds satisfying the formula; box is evaluated through the [R]
-    operator and dia is its ¬[R]¬ dual."""
+    """Worlds satisfying the formula; dia is the ¬[R]¬ dual of box."""
     if isinstance(formula, Atom):
         if formula.args:
-            raise UnknownAtom(
-                f"modal atoms are propositional, got {formula.name!r} with arguments"
-            )
+            raise UnknownAtom(f"modal atoms are propositional, got {formula.name!r} with arguments")
         return frame.atom_set(formula.name)
     if isinstance(formula, Not):
         return eval_modal(frame, formula.body).complement()
@@ -232,9 +259,8 @@ def eval_modal(frame: KripkeFrame, formula: Formula) -> SubsetOf:
     if isinstance(formula, Or):
         return eval_modal(frame, formula.left).union(eval_modal(frame, formula.right))
     if isinstance(formula, Implies):
-        return boolean_implication(
-            eval_modal(frame, formula.left), eval_modal(frame, formula.right)
-        )
+        left, right = eval_modal(frame, formula.left), eval_modal(frame, formula.right)
+        return boolean_implication(left, right)
     if isinstance(formula, Box):
         return box(frame.access, eval_modal(frame, formula.body))
     if isinstance(formula, Dia):
@@ -244,38 +270,39 @@ def eval_modal(frame: KripkeFrame, formula: Formula) -> SubsetOf:
 
 def boolean_implication(x: SubsetOf, y: SubsetOf) -> SubsetOf:
     """X => Y as complement(X) ∪ Y."""
-    return x.complement().union(y)
+    _require_over(y, x.universe)
+    return _subset(x.universe, _implies(_full(x.universe), x.mask, y.mask))
 
 
 def check_implication_adjunction(universe: Universe, cap: int = 4) -> CheckReport:
     """Verify X ∩ Y ⊆ Z iff X ⊆ (Y => Z) for ALL subset triples."""
     _require_cap(cap, universe)
+    full, masks = _full(universe), range(1 << len(universe.elements))
+    implied = [[_implies(full, y, z) for z in masks] for y in masks]
     witnesses: list[str] = []
-    checked = 0
-    for x in subsets(universe):
-        for y in subsets(universe):
-            for z in subsets(universe):
-                checked += 1
-                lhs = x.intersect(y).included_in(z)
-                rhs = x.included_in(boolean_implication(y, z))
-                if lhs != rhs:
+    for x in masks:
+        for y, row in zip(masks, implied):
+            for z, y_to_z in zip(masks, row):
+                if (not x & y & ~z) != (not x & ~y_to_z):
                     witnesses.append(
-                        f"implication adjunction fails at X={x.sorted_members()!r}, "
-                        f"Y={y.sorted_members()!r}, Z={z.sorted_members()!r}"
+                        f"implication adjunction fails at X={_names(universe, x)!r}, "
+                        f"Y={_names(universe, y)!r}, Z={_names(universe, z)!r}"
                     )
-    return CheckReport(ok=not witnesses, checked=checked, witnesses=tuple(witnesses))
-
-
-def _closed(p: FinitePoset, mask: int) -> bool:
-    return all(p.downs[i] | mask == mask for i in bits(mask))
+    return CheckReport(not witnesses, len(masks) ** 3, tuple(witnesses))
 
 
 def is_down_closed(p: FinitePoset, subset: frozenset) -> bool:
-    return _closed(p, p.mask(subset))
+    mask = p.mask(subset)
+    return all(p.downs[i] | mask == mask for i in bits(mask))
 
 
 def _down_set_masks(p: FinitePoset) -> list[int]:
-    closed = [mask for mask in range(1 << len(p.elements)) if _closed(p, mask)]
+    """Each element, taken after everything below it, joins every down-set
+    found so far that holds its strict down-set."""
+    closed = [0]
+    for i in sorted(range(len(p.elements)), key=lambda i: p.downs[i].bit_count()):
+        below = p.downs[i] & ~(1 << i)
+        closed += [mask | 1 << i for mask in closed if not below & ~mask]
     closed.sort(key=lambda mask: (mask.bit_count(), list(bits(mask))))
     return closed
 
@@ -286,12 +313,9 @@ def down_sets(p: FinitePoset) -> tuple[frozenset, ...]:
 
 
 def heyting_implication(p: FinitePoset, x: frozenset, y: frozenset) -> frozenset:
-    """The largest down-set Z with Z ∩ X ⊆ Y, found by exhaustive search.
-
-    This is intuitionistic implication in the down-set lattice of the poset;
-    the candidate scan doubles as the adjunction check, since the result must
-    contain every candidate.
-    """
+    """The largest down-set Z with Z ∩ X ⊆ Y: intuitionistic implication in the
+    down-set lattice.  The scan doubles as the adjunction check, since the
+    result must contain every candidate."""
     for name, subset in (("X", x), ("Y", y)):
         if not is_down_closed(p, subset):
             raise NotDownClosed(f"{name} = {sorted(map(str, subset))!r} is not a down-set")

@@ -2,24 +2,28 @@
 and the set-valued first-order evaluator.
 
 This is the representation `fincat.galois` and `fincat.logic` used before
-orders became bitmasks: a poset is a frozenset of related pairs and every
-operator scans those pairs.  The first-order section is the frozenset
-evaluator `fincat.firstorder` used before denotations became masks over
-A^n.  Both are slow but transparently correct, and the property tests
-compare the mask implementations against them.  They are not part of the
-package.
+orders and subsets became bitmasks: a poset is a frozenset of related pairs
+and every operator scans those pairs, and a subset is the frozenset of its
+members.  The first-order section is the frozenset evaluator
+`fincat.firstorder` used before denotations became masks over A^n.  They
+are slow but transparently correct, and the property tests compare the
+mask implementations against them.  They are not part of the package.
 """
 
 from __future__ import annotations
 
-from fincat.builders import FiniteFunction, NamedFiniteSet
+from dataclasses import dataclass
+
+from fincat.builders import FiniteFunction, FiniteRelation, NamedFiniteSet
 from fincat.core import DEFAULT_BUDGET
 from fincat.errors import (
     ContextMismatch,
     ContextOverflow,
+    EnumerationBudgetExceeded,
     InvalidPoset,
     NotDownClosed,
     NotMonotone,
+    UniverseMismatch,
     UnknownAtom,
     UnknownElement,
 )
@@ -32,9 +36,9 @@ from fincat.firstorder import (
     _require_tuples,
     all_assignments,
 )
-from fincat.formulas import And, Atom, Exists, Forall, Formula, Implies, Not, Or
+from fincat.formulas import And, Atom, Box, Exists, Forall, Formula, Implies, Not, Or
 from fincat import logic
-from fincat.logic import Universe
+from fincat.logic import CheckReport, Universe
 
 
 class RefPoset:
@@ -153,16 +157,189 @@ def heyting_implication(p: RefPoset, x, y):
     return max((z for z in down_sets(p) if (z & x) <= y), key=len)
 
 
-def universal_image(dom_elements, cod_elements, graph, members):
-    return frozenset(
-        y for y in cod_elements if all(x in members for x in dom_elements if graph[x] == y)
-    )
+# -- frozenset subsets ------------------------------------------------------
+#
+# The subset operators and adjunction checkers `fincat.logic` used before
+# subsets became int masks: a subset is its characteristic member set, and
+# every operator and checker builds and compares those sets.  The checkers
+# call the operators through this module's globals, so a test can swap one
+# operator here and its mask body in `fincat.logic` for the same fault.
+
+@dataclass(frozen=True)
+class RefSubset:
+    """A subset of a universe, stored as its characteristic member set."""
+
+    universe: Universe
+    members: frozenset
+
+    def __post_init__(self):
+        stray = self.members - set(self.universe.elements)
+        if stray:
+            raise UniverseMismatch(
+                f"members {sorted(map(str, stray))!r} are not in universe "
+                f"{self.universe.name!r}"
+            )
+
+    @classmethod
+    def of(cls, universe: Universe, members) -> "RefSubset":
+        return cls(universe, frozenset(members))
+
+    @classmethod
+    def full(cls, universe: Universe) -> "RefSubset":
+        return cls(universe, frozenset(universe.elements))
+
+    @classmethod
+    def empty(cls, universe: Universe) -> "RefSubset":
+        return cls(universe, frozenset())
+
+    def _require_same(self, other: "RefSubset") -> None:
+        if self.universe != other.universe:
+            raise UniverseMismatch(
+                f"subsets of {self.universe.name!r} and {other.universe.name!r} combined"
+            )
+
+    def complement(self) -> "RefSubset":
+        return RefSubset(self.universe, frozenset(self.universe.elements) - self.members)
+
+    def union(self, other: "RefSubset") -> "RefSubset":
+        self._require_same(other)
+        return RefSubset(self.universe, self.members | other.members)
+
+    def intersect(self, other: "RefSubset") -> "RefSubset":
+        self._require_same(other)
+        return RefSubset(self.universe, self.members & other.members)
+
+    def included_in(self, other: "RefSubset") -> bool:
+        self._require_same(other)
+        return self.members <= other.members
+
+    def sorted_members(self) -> tuple:
+        order = {x: i for i, x in enumerate(self.universe.elements)}
+        return tuple(sorted(self.members, key=order.__getitem__))
 
 
-def box(dom_elements, pairs, members):
-    return frozenset(
-        x for x in dom_elements if all(y in members for (x2, y) in pairs if x2 == x)
-    )
+def subsets(universe: Universe):
+    """All subsets in a fixed order (bitmask over the element order)."""
+    elems = universe.elements
+    for mask in range(2 ** len(elems)):
+        yield RefSubset(universe, frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1))
+
+
+def direct_image(f: FiniteFunction, s: RefSubset) -> RefSubset:
+    if s.universe != f.dom:
+        raise UniverseMismatch("subset is not over the function's domain")
+    return RefSubset(f.cod, frozenset(f(x) for x in s.members))
+
+
+def inverse_image(f: FiniteFunction, t: RefSubset) -> RefSubset:
+    if t.universe != f.cod:
+        raise UniverseMismatch("subset is not over the function's codomain")
+    return RefSubset(f.dom, frozenset(x for x in f.dom.elements if f(x) in t.members))
+
+
+def universal_image(f: FiniteFunction, s: RefSubset) -> RefSubset:
+    if s.universe != f.dom:
+        raise UniverseMismatch("subset is not over the function's domain")
+    missed = {f(x) for x in f.dom.elements if x not in s.members}
+    return RefSubset(f.cod, frozenset(y for y in f.cod.elements if y not in missed))
+
+
+def box(r: FiniteRelation, t: RefSubset) -> RefSubset:
+    if t.universe != r.cod:
+        raise UniverseMismatch("target set is not over the relation's codomain")
+    escaping = {x for (x, y) in r.pairs if y not in t.members}
+    return RefSubset(r.dom, frozenset(x for x in r.dom.elements if x not in escaping))
+
+
+def relation_post_image(r: FiniteRelation, s: RefSubset) -> RefSubset:
+    if s.universe != r.dom:
+        raise UniverseMismatch("subset is not over the relation's domain")
+    return RefSubset(r.cod, frozenset(y for (x, y) in r.pairs if x in s.members))
+
+
+def boolean_implication(x: RefSubset, y: RefSubset) -> RefSubset:
+    return x.complement().union(y)
+
+
+def _require_cap(cap: int, *universes: Universe) -> None:
+    if any(len(u.elements) > cap for u in universes):
+        raise EnumerationBudgetExceeded(f"universe larger than the cap of {cap} elements")
+
+
+def check_quantifier_adjunctions(f: FiniteFunction, cap: int = 4) -> CheckReport:
+    _require_cap(cap, f.dom, f.cod)
+    witnesses: list[str] = []
+    checked = 0
+    for s in subsets(f.dom):
+        for t in subsets(f.cod):
+            checked += 1
+            left = direct_image(f, s).included_in(t)
+            right = s.included_in(inverse_image(f, t))
+            if left != right:
+                witnesses.append(
+                    f"direct-image adjunction fails at S={s.sorted_members()!r}, "
+                    f"T={t.sorted_members()!r}"
+                )
+            left = inverse_image(f, t).included_in(s)
+            right = t.included_in(universal_image(f, s))
+            if left != right:
+                witnesses.append(
+                    f"universal-image adjunction fails at S={s.sorted_members()!r}, "
+                    f"T={t.sorted_members()!r}"
+                )
+    return CheckReport(ok=not witnesses, checked=checked, witnesses=tuple(witnesses))
+
+
+def check_box_adjunction(r: FiniteRelation, cap: int = 4) -> CheckReport:
+    _require_cap(cap, r.dom, r.cod)
+    witnesses: list[str] = []
+    checked = 0
+    for s in subsets(r.dom):
+        for t in subsets(r.cod):
+            checked += 1
+            if relation_post_image(r, s).included_in(t) != s.included_in(box(r, t)):
+                witnesses.append(
+                    f"box adjunction fails at S={s.sorted_members()!r}, "
+                    f"T={t.sorted_members()!r}"
+                )
+    return CheckReport(ok=not witnesses, checked=checked, witnesses=tuple(witnesses))
+
+
+def check_implication_adjunction(universe: Universe, cap: int = 4) -> CheckReport:
+    _require_cap(cap, universe)
+    witnesses: list[str] = []
+    checked = 0
+    for x in subsets(universe):
+        for y in subsets(universe):
+            for z in subsets(universe):
+                checked += 1
+                lhs = x.intersect(y).included_in(z)
+                rhs = x.included_in(boolean_implication(y, z))
+                if lhs != rhs:
+                    witnesses.append(
+                        f"implication adjunction fails at X={x.sorted_members()!r}, "
+                        f"Y={y.sorted_members()!r}, Z={z.sorted_members()!r}"
+                    )
+    return CheckReport(ok=not witnesses, checked=checked, witnesses=tuple(witnesses))
+
+
+def eval_modal(access: FiniteRelation, valuation, formula: Formula) -> RefSubset:
+    """Worlds satisfying a propositional modal formula; ``valuation`` maps
+    each atom to a RefSubset of the worlds, ``access.dom``."""
+    if isinstance(formula, Atom):
+        return valuation[formula.name]
+    if isinstance(formula, Not):
+        return eval_modal(access, valuation, formula.body).complement()
+    if isinstance(formula, (And, Or, Implies)):
+        left = eval_modal(access, valuation, formula.left)
+        right = eval_modal(access, valuation, formula.right)
+        if isinstance(formula, And):
+            return left.intersect(right)
+        return left.union(right) if isinstance(formula, Or) else boolean_implication(left, right)
+    inner = eval_modal(access, valuation, formula.body)
+    if isinstance(formula, Box):
+        return box(access, inner)
+    return box(access, inner.complement()).complement()  # Dia
 
 
 # -- first-order denotations ---------------------------------------------

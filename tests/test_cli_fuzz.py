@@ -355,8 +355,11 @@ def output(verb, fixture, *extra) -> tuple[int, str]:
         (("fo-eval", "structure.json", "--formula=" + "(" * 300 + "E(v1,v1)" + ")" * 300, "--context", "1"), TOO_DEEP),
         (("modal-eval", "frame.json", "--formula=" + " -> ".join(["p"] * 2000)), TOO_DEEP),
         (("modal-eval", "frame.json", "--formula=" + " & ".join(["p"] * 2000)), TOO_DEEP),
+        (("wp", "frame.json", "--target", "p", "--cap", "-1"), "error: --cap must be nonnegative, got -1\n"),
+        (("validate", "twochain.json", "--budget", "-1"), "error: --budget must be nonnegative, got -1\n"),
     ],
-    ids=["context-30", "context-20000", "2000-negations", "300-parentheses", "2000-implications", "2000-conjunctions"],
+    ids=["context-30", "context-20000", "2000-negations", "300-parentheses", "2000-implications", "2000-conjunctions",
+         "negative-cap", "negative-budget"],
 )
 def test_oversized_inputs_are_refused_before_they_are_evaluated(argv, message):
     assert output(*argv) == (2, message)
