@@ -409,8 +409,8 @@ def poset_as_category(P: FinitePoset) -> FiniteCategory:
 def poset_from_category(C: FiniteCategory) -> FinitePoset:
     """Read a thin category back as the poset of its nonempty hom-sets."""
     objects, homs = C.objects, C.kernel().homs
-    leq = frozenset((a, b) for a, row in zip(objects, homs) for b, hom in zip(objects, row) if hom)
-    return FinitePoset(objects, leq)
+    ups = (sum(1 << b for b, hom in enumerate(row) if hom) for row in homs)
+    return FinitePoset._from_ups(objects, ups)
 
 
 def monoid_as_category(M: FiniteMonoid, object_name: str = "*") -> FiniteCategory:

@@ -180,7 +180,7 @@ def _adjoints(args):
                     f"{', '.join(status.approximants)} have no least element)"
                 )
     else:
-        left_graph = {x: left.graph[x] for x in left.dom.elements}
+        left_graph = left.graph
         galois.verify_adjunction(left, gmap)
     right = galois.right_adjoint(gmap)
     if right is None:
@@ -188,7 +188,7 @@ def _adjoints(args):
             if galois.greatest_below(gmap, z) is None:
                 witnesses.append(f"{z} has no greatest element mapped below it")
     else:
-        right_graph = {z: right.graph[z] for z in right.dom.elements}
+        right_graph = right.graph
         galois.verify_adjunction(gmap, right)
     payload = {"left_adjoint": left_graph, "right_adjoint": right_graph}
     lines = [

@@ -26,7 +26,7 @@ from .core import Arrow, FiniteCategory
 from .errors import FincatError, InvalidPoset, ParseError
 from .firstorder import FORelation, FOStructure
 from .functors import Functor
-from .galois import FinitePoset, MonotoneMap
+from .galois import FinitePoset, MonotoneMap, bits
 from .logic import KripkeFrame, SubsetOf
 from .nno import RecursionData
 
@@ -248,13 +248,9 @@ def parse_poset(doc: Any, where: str = "poset") -> FinitePoset:
 
 
 def dump_poset(p: FinitePoset) -> dict:
-    order = {x: i for i, x in enumerate(p.elements)}
     return {
         "elements": list(p.elements),
-        "leq": [
-            [a, b]
-            for a, b in sorted(p.leq, key=lambda ab: (order[ab[0]], order[ab[1]]))
-        ],
+        "leq": [[x, p.elements[j]] for x, row in zip(p.elements, p.ups) for j in bits(row)],
     }
 
 
@@ -286,7 +282,7 @@ def dump_monotone_map(m: MonotoneMap) -> dict:
     return {
         "dom": dump_poset(m.dom),
         "cod": dump_poset(m.cod),
-        "graph": {x: m.graph[x] for x in m.dom.elements},
+        "graph": m.graph,
     }
 
 

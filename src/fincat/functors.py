@@ -215,8 +215,7 @@ def monotone_as_functor(m: MonotoneMap) -> Functor:
     arrow_map = dict(
         zip(S.names, [T.names[T.homs[image[a]][image[b]][0]] for a, b in zip(S.dom, S.cod)])
     )
-    object_map = {x: m(x) for x in m.dom.elements}
-    return Functor(source, target, object_map, arrow_map)
+    return Functor(source, target, m.graph, arrow_map)
 
 
 def functor_as_monotone(F: Functor) -> MonotoneMap:

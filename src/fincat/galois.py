@@ -5,14 +5,13 @@ Everything is exact -- comparisons are order-table lookups, never tolerances.
 An adjoint pair here is a Galois connection: monotone f : P -> Q and
 g : Q -> P with ``x <= g(z)  iff  f(x) <= z`` for all x, z.
 
-Orders are bitmasks: a subset of a poset is the int whose bit i stands for
-``elements[i]``, and each element keeps its up-set and down-set as masks.
-With n elements and m related pairs, construction and validation take O(m)
-mask operations (``from_relation`` closes by Warshall's algorithm, O(n²));
-``le`` is two index lookups and a bit test; ``least_of``, ``greatest_of``,
-``glb`` and ``lub`` take one AND per member; ``MonotoneMap`` checks one bit
-per related pair of its domain; adjoint search and ``adjunction_witness``
-take O(|P|·|Q|) bit tests.
+Orders are bitmasks: bit i of a mask stands for ``elements[i]``.  A poset's
+fields are its elements and up-set masks, a monotone map's its image
+positions; ``leq`` and ``graph`` are made on read.  With n elements and m
+related pairs, construction takes O(m) mask operations (``from_relation``
+closes by Warshall's algorithm, O(n²)); ``le`` is a bit test; ``least_of``,
+``glb`` and their duals take one AND per member; ``MonotoneMap`` checks one
+bit per related pair of its domain; adjoints and their checks take O(|P|·|Q|).
 """
 
 from __future__ import annotations
@@ -42,48 +41,56 @@ def _indexed(elements: tuple) -> dict:
     return index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinitePoset:
     """A finite carrier with a reflexive, transitive, antisymmetric relation.
 
     ``leq`` must contain every related pair explicitly, reflexive pairs
     included; :meth:`from_relation` closes an arbitrary sparse relation first.
-    Construction derives ``index`` (element -> position) and the masks of the
-    elements above (``ups[i]``) and below (``downs[i]``) ``elements[i]``; a
-    violation is reported at its first element in element order.
+    The fields are ``elements`` and ``ups[i]``, the mask of the elements above
+    ``elements[i]``.  Every constructor ends in one check of the masks, which
+    derives ``index`` and ``downs`` and reports the first violating element.
     """
 
     elements: tuple[Element, ...]
-    leq: frozenset[tuple[Element, Element]]
+    ups: tuple[int, ...]
 
-    def __post_init__(self):
-        index = _indexed(self.elements)
-        ups = [0] * len(index)
-        downs = [0] * len(index)
+    def __init__(self, elements: Iterable[Element], leq: Iterable[tuple[Element, Element]]):
+        elements, leq = tuple(elements), tuple(leq)
+        index = _indexed(elements)
+        ups = [0] * len(elements)
         try:
-            for x, y in self.leq:
-                i, j = index[x], index[y]
-                ups[i] |= 1 << j
-                downs[j] |= 1 << i
+            for x, y in leq:
+                ups[index[x]] |= 1 << index[y]
         except KeyError:
-            x, y = min((p for p in self.leq if not {*p} <= index.keys()), key=repr)
+            x, y = min((p for p in leq if not {*p} <= index.keys()), key=repr)
             raise InvalidPoset(f"relation mentions unknown element in ({x!r}, {y!r})") from None
-        names = self.elements
-        for i, x in enumerate(names):
+        self._settle(elements, index, ups)
+
+    def _settle(self, elements: tuple, index: dict, ups: list[int]) -> None:
+        """Check the order given by its up-set masks, then store it."""
+        for i, x in enumerate(elements):
             if not ups[i] >> i & 1:
                 raise InvalidPoset(f"relation is not reflexive at {x!r}")
-        for i, x in enumerate(names):
+        downs = [0] * len(elements)
+        for i, x in enumerate(elements):
             for j in bits(ups[i]):
+                downs[j] |= 1 << i
                 if ups[j] & ~ups[i]:
-                    z = names[next(bits(ups[j] & ~ups[i]))]
-                    raise InvalidPoset(f"relation is not transitive: {x!r} <= {names[j]!r} <= {z!r}")
-        for i, x in enumerate(names):
+                    z = elements[next(bits(ups[j] & ~ups[i]))]
+                    raise InvalidPoset(f"relation is not transitive: {x!r} <= {elements[j]!r} <= {z!r}")
+        for i, x in enumerate(elements):
             if ups[i] & downs[i] != 1 << i:
-                y = names[next(bits(ups[i] & downs[i] & ~(1 << i)))]
+                y = elements[next(bits(ups[i] & downs[i] & ~(1 << i)))]
                 raise InvalidPoset(f"relation is not antisymmetric on {x!r}, {y!r}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "ups", tuple(ups))
-        object.__setattr__(self, "downs", tuple(downs))
+        self.__dict__.update(elements=elements, ups=tuple(ups), index=index, downs=tuple(downs))
+
+    @classmethod
+    def _from_ups(cls, elements: Iterable[Element], ups: Iterable[int]) -> "FinitePoset":
+        """The poset in which bit j of ``ups[i]`` says elements[i] <= elements[j]."""
+        poset, elements = cls.__new__(cls), tuple(elements)
+        poset._settle(elements, _indexed(elements), list(ups))
+        return poset
 
     @classmethod
     def from_relation(
@@ -103,18 +110,23 @@ class FinitePoset:
             for i, row in enumerate(ups):
                 if row & bit:
                     ups[i] = row | above
-        return cls(elems, frozenset((x, elems[j]) for x, row in zip(elems, ups) for j in bits(row)))
+        return cls._from_ups(elems, ups)
 
     @classmethod
     def chain(cls, elements: Iterable[Element]) -> "FinitePoset":
         """Total order in the given element order."""
         elems = tuple(elements)
-        return cls(elems, frozenset((x, y) for i, x in enumerate(elems) for y in elems[i:]))
+        return cls._from_ups(elems, ((1 << len(elems)) - (1 << i) for i in range(len(elems))))
 
     @classmethod
     def antichain(cls, elements: Iterable[Element]) -> "FinitePoset":
         elems = tuple(elements)
-        return cls(elems, frozenset((x, x) for x in elems))
+        return cls._from_ups(elems, (1 << i for i in range(len(elems))))
+
+    @property
+    def leq(self) -> frozenset[tuple[Element, Element]]:
+        """The related pairs, made from the masks on each read."""
+        return frozenset((x, self.elements[j]) for x, row in zip(self.elements, self.ups) for j in bits(row))
 
     def position(self, x: Element) -> int:
         try:
@@ -133,64 +145,78 @@ class FinitePoset:
         """The elements of ``mask`` in element order."""
         return tuple(self.elements[i] for i in bits(mask))
 
-    def _pick(self, mask: int, bounds: tuple[int, ...]) -> Element | None:
-        """The member of ``mask`` bounding all of it: least when ``bounds`` are downs."""
+    def _pick(self, mask: int, bounds: tuple[int, ...]) -> int | None:
+        """The position of the member of ``mask`` bounding all of it: least if ``bounds`` are downs."""
         found = mask
         for i in bits(mask):
             found &= bounds[i]
-        return self.elements[next(bits(found))] if found else None
+        return next(bits(found)) if found else None
+
+    def _name(self, i: int | None) -> Element | None:
+        return None if i is None else self.elements[i]
 
     def least_of(self, subset: Iterable[Element]) -> Element | None:
         """The least element of ``subset`` within this order, if any."""
-        return self._pick(self.mask(subset), self.downs)
+        return self._name(self._pick(self.mask(subset), self.downs))
 
     def greatest_of(self, subset: Iterable[Element]) -> Element | None:
-        return self._pick(self.mask(subset), self.ups)
+        return self._name(self._pick(self.mask(subset), self.ups))
 
     def glb(self, x: Element, y: Element) -> Element | None:
         """Greatest lower bound of x and y, if any."""
-        return self._pick(self.downs[self.position(x)] & self.downs[self.position(y)], self.ups)
+        return self._name(self._pick(self.downs[self.position(x)] & self.downs[self.position(y)], self.ups))
 
     def lub(self, x: Element, y: Element) -> Element | None:
-        return self._pick(self.ups[self.position(x)] & self.ups[self.position(y)], self.downs)
+        return self._name(self._pick(self.ups[self.position(x)] & self.ups[self.position(y)], self.downs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonotoneMap:
     """An order-preserving total map between finite posets; ``image[i]`` is
     the codomain position of the image of ``dom.elements[i]``."""
 
     dom: FinitePoset
     cod: FinitePoset
-    graph: Mapping[Element, Element]
+    image: tuple[int, ...]
 
-    def __post_init__(self):
-        for x in self.dom.elements:
-            if x not in self.graph:
+    def __init__(self, dom: FinitePoset, cod: FinitePoset, graph: Mapping[Element, Element]):
+        for x in dom.elements:
+            if x not in graph:
                 raise UnknownElement(f"map is undefined on {x!r}")
-            if self.graph[x] not in self.cod.index:
-                raise UnknownElement(f"map sends {x!r} to unknown element {self.graph[x]!r}")
-        for extra in self.graph:
-            if extra not in self.dom.index:
+            if graph[x] not in cod.index:
+                raise UnknownElement(f"map sends {x!r} to unknown element {graph[x]!r}")
+        for extra in graph:
+            if extra not in dom.index:
                 raise UnknownElement(f"map is defined on unknown element {extra!r}")
-        image = tuple(self.cod.index[self.graph[x]] for x in self.dom.elements)
-        for i, x in enumerate(self.dom.elements):
-            allowed = self.cod.ups[image[i]]
-            for j in bits(self.dom.ups[i]):
+        self._settle(dom, cod, tuple(cod.index[graph[x]] for x in dom.elements))
+
+    def _settle(self, dom: FinitePoset, cod: FinitePoset, image: tuple[int, ...]) -> None:
+        """Check that ``image`` preserves the order, then store it."""
+        for i, x in enumerate(dom.elements):
+            allowed = cod.ups[image[i]]
+            for j in bits(dom.ups[i]):
                 if not allowed >> image[j] & 1:
-                    y = self.dom.elements[j]
+                    y = dom.elements[j]
                     raise NotMonotone(
-                        f"{x!r} <= {y!r} but images {self.graph[x]!r}, "
-                        f"{self.graph[y]!r} are not ordered",
+                        f"{x!r} <= {y!r} but images {cod.elements[image[i]]!r}, "
+                        f"{cod.elements[image[j]]!r} are not ordered",
                         witness=(x, y),
                     )
-        object.__setattr__(self, "image", image)
+        self.__dict__.update(dom=dom, cod=cod, image=image)
+
+    @classmethod
+    def _from_image(cls, dom: FinitePoset, cod: FinitePoset, image: tuple[int, ...]) -> "MonotoneMap":
+        m = cls.__new__(cls)
+        m._settle(dom, cod, image)
+        return m
+
+    @property
+    def graph(self) -> dict[Element, Element]:
+        """The map by name, in domain element order, made on each read."""
+        return dict(zip(self.dom.elements, map(self.cod.elements.__getitem__, self.image)))
 
     def __call__(self, x: Element) -> Element:
-        try:
-            return self.graph[x]
-        except KeyError:
-            raise UnknownElement(f"unknown element {x!r}") from None
+        return self.cod.elements[self.image[self.dom.position(x)]]
 
     def preimage(self, mask: int) -> int:
         """The mask over dom of the elements sent into ``mask`` over cod."""
@@ -198,14 +224,14 @@ class MonotoneMap:
 
     @classmethod
     def identity(cls, P: FinitePoset) -> "MonotoneMap":
-        return cls(P, P, {x: x for x in P.elements})
+        return cls._from_image(P, P, tuple(range(len(P.elements))))
 
 
 def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     """The composite "f then g"; requires f.cod == g.dom."""
     if f.cod != g.dom:
         raise ValueError("maps are not composable")
-    return MonotoneMap(f.dom, g.cod, {x: g(f(x)) for x in f.dom.elements})
+    return MonotoneMap._from_image(f.dom, g.cod, tuple(g.image[i] for i in f.image))
 
 
 @dataclass(frozen=True)
@@ -225,7 +251,7 @@ class Approximation:
 def approximation_report(g: MonotoneMap, x: Element) -> Approximation:
     """All y in dom(g) with x <= g(y), and the least such y when it exists."""
     above = g.preimage(g.cod.ups[g.cod.position(x)])
-    least = g.dom._pick(above, g.dom.downs)
+    least = g.dom._name(g.dom._pick(above, g.dom.downs))
     status = "found" if least is not None else "no-least" if above else "empty"
     return Approximation(x, g.dom.members(above), least, status)
 
@@ -237,28 +263,23 @@ def best_approximation(g: MonotoneMap, x: Element) -> Element | None:
 
 def greatest_below(f: MonotoneMap, z: Element) -> Element | None:
     """The greatest x with f(x) <= z, or None: the right adjoint's value at z."""
-    return f.dom._pick(f.preimage(f.cod.downs[f.cod.position(z)]), f.dom.ups)
+    return f.dom._name(f.dom._pick(f.preimage(f.cod.downs[f.cod.position(z)]), f.dom.ups))
 
 
-def _pointwise(m: MonotoneMap, search) -> MonotoneMap | None:
-    """The map cod -> dom found pointwise by ``search``, if total (and re-checked monotone)."""
-    graph = {}
-    for x in m.cod.elements:
-        found = search(m, x)
-        if found is None:
-            return None
-        graph[x] = found
-    return MonotoneMap(m.cod, m.dom, graph)
+def _pointwise(m: MonotoneMap, near: tuple[int, ...], bounds: tuple[int, ...]) -> MonotoneMap | None:
+    """The map cod -> dom picking by ``bounds`` in each preimage of ``near``, if total and monotone."""
+    image = tuple(m.dom._pick(m.preimage(mask), bounds) for mask in near)
+    return None if None in image else MonotoneMap._from_image(m.cod, m.dom, image)
 
 
 def left_adjoint(g: MonotoneMap) -> MonotoneMap | None:
     """The map f with x <= g(z) iff f(x) <= z, if every x has a best approximant."""
-    return _pointwise(g, best_approximation)
+    return _pointwise(g, g.cod.ups, g.dom.downs)
 
 
 def right_adjoint(f: MonotoneMap) -> MonotoneMap | None:
     """The map g with f(x) <= z iff x <= g(z): g(z) is the greatest x with f(x) <= z."""
-    return _pointwise(f, greatest_below)
+    return _pointwise(f, f.cod.downs, f.dom.ups)
 
 
 def adjunction_witness(f: MonotoneMap, g: MonotoneMap) -> tuple[Element, Element] | None:
@@ -283,16 +304,17 @@ def unit_counit_violations(f: MonotoneMap, g: MonotoneMap) -> tuple[str, ...]:
     P, Q = f.dom, f.cod
     if g.dom != Q or g.cod != P:
         raise ValueError("maps do not form a P -> Q / Q -> P pair")
+    fi, gi = f.image, g.image
     laws = (
-        (P, lambda x: P.le(x, g(f(x))), "unit: {0!r} is not below g(f({0!r}))"),
-        (Q, lambda z: Q.le(f(g(z)), z), "counit: f(g({0!r})) is not below {0!r}"),
-        (P, lambda x: f(g(f(x))) == f(x), "f∘g∘f = f fails at {0!r}"),
-        (Q, lambda z: g(f(g(z))) == g(z), "g∘f∘g = g fails at {0!r}"),
+        (P, lambda x: P.ups[x] >> gi[fi[x]] & 1, "unit: {0!r} is not below g(f({0!r}))"),
+        (Q, lambda z: Q.ups[fi[gi[z]]] >> z & 1, "counit: f(g({0!r})) is not below {0!r}"),
+        (P, lambda x: fi[gi[fi[x]]] == fi[x], "f∘g∘f = f fails at {0!r}"),
+        (Q, lambda z: gi[fi[gi[z]]] == gi[z], "g∘f∘g = g fails at {0!r}"),
     )
     failed: list[str] = []
     for poset, holds, message in laws:
-        for e in poset.elements:
-            if not holds(e):
+        for i, e in enumerate(poset.elements):
+            if not holds(i):
                 failed.append(message.format(e))
                 break
     return tuple(failed)
@@ -364,8 +386,7 @@ def integer_grid_inclusion(k: int, denominator: int) -> MonotoneMap:
         str(Fraction(num, denominator)) for num in range(-k * denominator, k * denominator + 1)
     )
     ints = FinitePoset.chain(str(n) for n in range(-k, k + 1))
-    graph = {str(n): str(Fraction(n)) for n in range(-k, k + 1)}
-    return MonotoneMap(ints, grid, graph)
+    return MonotoneMap._from_image(ints, grid, tuple(range(0, len(grid.elements), denominator)))
 
 
 def floor_ceiling_demo(k: int, denominator: int) -> FloorCeilingReport:
@@ -382,10 +403,11 @@ def floor_ceiling_demo(k: int, denominator: int) -> FloorCeilingReport:
         raise RuntimeError("inclusion on an integer-bounded grid must have both adjoints")
     verify_adjunction(ceiling_map, inclusion)
     verify_adjunction(inclusion, floor_map)
-    rows = []
-    for num in range(-k * denominator, k * denominator + 1):
+    ints, rows = inclusion.dom.elements, []
+    points = range(-k * denominator, k * denominator + 1)
+    for num, floor, ceiling in zip(points, floor_map.image, ceiling_map.image):
         q = Fraction(num, denominator)
         rows.append(FloorCeilingRow(
-            str(q), floor_map(str(q)), str(math.floor(q)), ceiling_map(str(q)), str(math.ceil(q))
+            str(q), ints[floor], str(math.floor(q)), ints[ceiling], str(math.ceil(q))
         ))
     return FloorCeilingReport(k=k, denominator=denominator, rows=tuple(rows))

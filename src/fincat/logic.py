@@ -337,5 +337,5 @@ def powerset_poset(universe: Universe) -> tuple[FinitePoset, dict[str, frozenset
     labelled = [(subset_label(s.members, universe), s.members) for s in subsets(universe)]
     labels = tuple(label for label, _ in labelled)
     everything = range(len(labels))
-    leq = frozenset((labels[a], labels[b]) for a in everything for b in everything if not a & ~b)
-    return FinitePoset(labels, leq), dict(labelled)
+    ups = (sum(1 << b for b in everything if not a & ~b) for a in everything)
+    return FinitePoset._from_ups(labels, ups), dict(labelled)

@@ -105,11 +105,14 @@ class RefPoset:
 
 def monotone_witness(dom: RefPoset, cod: RefPoset, graph):
     """Raise NotMonotone on the first (x, y) in element order with x <= y
-    and unordered images, as the map constructor must."""
+    and unordered images, with the text the map constructor must give."""
     for x in dom.elements:
         for y in dom.elements:
             if dom.le(x, y) and not cod.le(graph[x], graph[y]):
-                raise NotMonotone(f"{x!r} <= {y!r} but images are not ordered", witness=(x, y))
+                raise NotMonotone(
+                    f"{x!r} <= {y!r} but images {graph[x]!r}, {graph[y]!r} are not ordered",
+                    witness=(x, y),
+                )
 
 
 def left_adjoint(dom: RefPoset, cod: RefPoset, graph):
@@ -133,6 +136,35 @@ def right_adjoint(dom: RefPoset, cod: RefPoset, graph):
             return None
         result[z] = greatest
     return result
+
+
+def adjunction_witness(P: RefPoset, Q: RefPoset, f, g):
+    """First pair (x, z), in element order, violating ``x <= g(z) iff
+    f(x) <= z`` for f = (P -> Q, graph) and g = (Q -> P, graph), or None."""
+    for x in P.elements:
+        for z in Q.elements:
+            if P.le(x, g[z]) != Q.le(f[x], z):
+                return (x, z)
+    return None
+
+
+def unit_counit_violations(P: RefPoset, Q: RefPoset, f, g):
+    """Violated laws among: id <= g∘f, f∘g <= id, f∘g∘f = f, g∘f∘g = g,
+    each reported by name with its first failing element; f and g are
+    graphs as in :func:`adjunction_witness`."""
+    laws = (
+        (P, lambda x: P.le(x, g[f[x]]), "unit: {0!r} is not below g(f({0!r}))"),
+        (Q, lambda z: Q.le(f[g[z]], z), "counit: f(g({0!r})) is not below {0!r}"),
+        (P, lambda x: f[g[f[x]]] == f[x], "f∘g∘f = f fails at {0!r}"),
+        (Q, lambda z: g[f[g[z]]] == g[z], "g∘f∘g = g fails at {0!r}"),
+    )
+    failed = []
+    for poset, holds, message in laws:
+        for e in poset.elements:
+            if not holds(e):
+                failed.append(message.format(e))
+                break
+    return tuple(failed)
 
 
 def is_down_closed(p: RefPoset, subset):

@@ -5,7 +5,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fincat.builders import poset_as_category
-from fincat.errors import AdjunctionFails, UnknownElement
+from fincat.errors import AdjunctionFails, InvalidPoset, UnknownElement
+from fincat.formats import dump_poset
 from fincat.galois import (
     FinitePoset,
     MonotoneMap,
@@ -254,3 +255,59 @@ class TestCrossModuleConsistency:
             for b in lattice.elements:
                 certs = find_products(C, a, b)
                 assert {c.apex for c in certs} == {lattice.glb(a, b)}
+
+
+CHAIN_PAIRS = [("a", "a"), ("a", "b"), ("a", "c"), ("b", "b"), ("b", "c"), ("c", "c")]
+
+
+def chain_builds():
+    """The chain a < b < c, built five ways."""
+    return {
+        "list": FinitePoset(("a", "b", "c"), list(CHAIN_PAIRS)),
+        "set": FinitePoset(["a", "b", "c"], set(CHAIN_PAIRS)),
+        "generator": FinitePoset("abc", (pair for pair in CHAIN_PAIRS)),
+        "chain": FinitePoset.chain("abc"),
+        "from_relation": FinitePoset.from_relation("abc", [("a", "b"), ("b", "c")]),
+    }
+
+
+class TestOneStoredOrder:
+    """A poset is its elements and up-set masks, and a map its image
+    positions, however they were built."""
+
+    def test_every_build_of_one_order_is_equal_and_hashes_alike(self):
+        builds = chain_builds()
+        for name, poset in builds.items():
+            assert poset == builds["chain"], name
+            assert hash(poset) == hash(builds["chain"]), name
+        assert len(set(builds.values())) == 1
+
+    def test_maps_compose_and_verify_across_builds(self):
+        builds = list(chain_builds().values())
+        for P in builds:
+            for Q in builds:
+                f = MonotoneMap(P, Q, {"a": "a", "b": "b", "c": "c"})
+                g = MonotoneMap(Q, P, {"a": "a", "b": "b", "c": "c"})
+                assert compose_maps(g, f) == MonotoneMap.identity(P)
+                assert verify_adjunction(f, g).verified_on == 9
+                assert hash(f) == hash(MonotoneMap.identity(Q))
+
+    def test_a_generator_table_is_read_once_and_kept(self):
+        poset = FinitePoset("abc", (pair for pair in CHAIN_PAIRS))
+        assert dump_poset(poset)["leq"] == [list(pair) for pair in CHAIN_PAIRS]
+        assert poset.leq == frozenset(CHAIN_PAIRS)
+
+    def test_an_unknown_element_in_a_generator_table_is_named(self):
+        pairs = [("a", "a"), ("a", "z"), ("b", "b")]
+        with pytest.raises(InvalidPoset, match=r"unknown element in \('a', 'z'\)"):
+            FinitePoset("ab", (pair for pair in pairs))
+
+    def test_a_map_keeps_its_graph_when_the_dict_changes(self):
+        graph = {"0": "0", "2": "2"}
+        inclusion = MonotoneMap(TWO_CHAIN, THREE_CHAIN, graph)
+        graph["0"] = "2"
+        assert inclusion("0") == "0"
+        assert inclusion.graph == {"0": "0", "2": "2"}
+        assert inclusion.image == (0, 2)
+        assert left_adjoint(inclusion).graph == {"0": "0", "1": "2", "2": "2"}
+        assert right_adjoint(inclusion).graph == {"0": "0", "1": "0", "2": "2"}

@@ -8,8 +8,16 @@ from hypothesis import strategies as st
 
 import reference_orders as ref
 from fincat.builders import FiniteFunction, FiniteRelation, NamedFiniteSet
-from fincat.errors import InvalidPoset, NotDownClosed, NotMonotone
-from fincat.galois import FinitePoset, MonotoneMap, left_adjoint, right_adjoint
+from fincat.errors import AdjunctionFails, InvalidPoset, NotDownClosed, NotMonotone
+from fincat.galois import (
+    FinitePoset,
+    MonotoneMap,
+    adjunction_witness,
+    left_adjoint,
+    right_adjoint,
+    unit_counit_violations,
+    verify_adjunction,
+)
 from fincat.logic import SubsetOf, box, down_sets, heyting_implication, universal_image
 
 
@@ -96,11 +104,50 @@ def test_monotone_check_and_adjoints_agree(spec):
         with pytest.raises(NotMonotone) as expected:
             ref.monotone_witness(RP, RQ, graph)
         assert exc.witness == expected.value.witness
+        assert str(exc) == str(expected.value)
         return
     ref.monotone_witness(RP, RQ, graph)
     left, right = left_adjoint(m), right_adjoint(m)
     assert (left and dict(left.graph)) == ref.left_adjoint(RP, RQ, graph)
     assert (right and dict(right.graph)) == ref.right_adjoint(RP, RQ, graph)
+
+
+@st.composite
+def map_pairs(draw):
+    """f : P -> Q and g : Q -> P as graphs, not necessarily monotone; half
+    the time g is the reference right adjoint of f when that exists, so
+    adjoint pairs are drawn as well as pairs that are not."""
+    (dom, dom_pairs), (cod, cod_pairs), f = draw(maps())
+    P, Q = ref.RefPoset.from_relation(dom, dom_pairs), ref.RefPoset.from_relation(cod, cod_pairs)
+    g = {z: draw(st.sampled_from(dom)) for z in cod}
+    if draw(st.booleans()):
+        g = ref.right_adjoint(P, Q, f) or g
+    return (dom, dom_pairs), (cod, cod_pairs), f, g
+
+
+@given(map_pairs())
+def test_adjunction_checks_agree(spec):
+    (dom, dom_pairs), (cod, cod_pairs), f_graph, g_graph = spec
+    P, Q = FinitePoset.from_relation(dom, dom_pairs), FinitePoset.from_relation(cod, cod_pairs)
+    RP, RQ = ref.RefPoset.from_relation(dom, dom_pairs), ref.RefPoset.from_relation(cod, cod_pairs)
+    try:
+        f, g = MonotoneMap(P, Q, f_graph), MonotoneMap(Q, P, g_graph)
+    except NotMonotone as exc:
+        with pytest.raises(NotMonotone) as expected:
+            ref.monotone_witness(RP, RQ, f_graph)
+            ref.monotone_witness(RQ, RP, g_graph)
+        assert (exc.witness, str(exc)) == (expected.value.witness, str(expected.value))
+        return
+    witness = ref.adjunction_witness(RP, RQ, f_graph, g_graph)
+    assert adjunction_witness(f, g) == witness
+    assert unit_counit_violations(f, g) == ref.unit_counit_violations(RP, RQ, f_graph, g_graph)
+    if witness is None:
+        assert verify_adjunction(f, g).verified_on == len(dom) * len(cod)
+    else:
+        with pytest.raises(AdjunctionFails) as failed:
+            verify_adjunction(f, g)
+        assert failed.value.witness == witness
+        assert str(failed.value) == f"x <= g(z) iff f(x) <= z fails at (x, z) = {witness!r}"
 
 
 @given(relations(acyclic=True), st.data())
