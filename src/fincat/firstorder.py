@@ -20,6 +20,7 @@ from typing import Mapping
 from .core import DEFAULT_BUDGET
 from .errors import ContextMismatch, ContextOverflow, EnumerationBudgetExceeded, UnknownAtom
 from .formulas import And, Atom, Exists, Forall, Formula, Implies, Not, Or
+from .galois import digits, mask_of, select
 from .logic import Universe
 
 
@@ -97,28 +98,14 @@ def _require_tuples(carrier: Universe, context: int, budget: int) -> None:
         )
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _mask(bits) -> int:
-    """The mask whose bit i is the i-th of the truth values ``bits``."""
-    return int(bytes(bits).translate(_DIGITS)[::-1] or b"0", 2)
-
-
-def _bits(mask: int, size: int) -> str:
-    """The ``size`` low bits of ``mask`` as '0'/'1' characters, bit 0 first."""
-    return format(mask, f"0{size}b")[::-1] if size else ""
-
-
 def _encode(carrier: Universe, s: AssignmentSet) -> int:
     """The mask over A^n, in `all_assignments` order, of the tuples in ``s``."""
-    return _mask(t in s.tuples for t in all_assignments(carrier, s.context))
+    return mask_of(t in s.tuples for t in all_assignments(carrier, s.context))
 
 
 def _decode(carrier: Universe, context: int, mask: int) -> AssignmentSet:
     tuples = all_assignments(carrier, context)
-    chosen = itertools.compress(tuples, map(int, _bits(mask, len(tuples))))
-    return AssignmentSet(context, frozenset(chosen))
+    return AssignmentSet(context, frozenset(select(tuples, mask)))
 
 
 def _image(mask: int, base: int, size: int, forall: bool) -> int:
@@ -126,15 +113,15 @@ def _image(mask: int, base: int, size: int, forall: bool) -> int:
     projection to A^n, with ``base`` = |A| and ``size`` = |A|^n.  As
     index(t + (a,)) = index(t)*|A| + pos(a), the projection is i -> i // |A|:
     tuple j is kept when its block of |A| bits is non-zero (or full)."""
-    bits = _bits(mask, size * base)
+    bits = digits(mask, size * base)
     blocks = (bits[j * base:(j + 1) * base] for j in range(size))
-    return _mask(("0" not in b) if forall else ("1" in b) for b in blocks)
+    return mask_of(("0" not in b) if forall else ("1" in b) for b in blocks)
 
 
 def _inverse_image(mask: int, base: int, size: int) -> int:
     """The inverse image along the projection A^(n+1) -> A^n: each of the
     ``size`` bits over A^n repeated |A| = ``base`` times."""
-    return _mask(b == "1" for b in _bits(mask, size) for _ in range(base))
+    return mask_of(b == "1" for b in digits(mask, size) for _ in range(base))
 
 
 def projection_adjoints(carrier: Universe, context: int, budget: int = DEFAULT_BUDGET):
@@ -240,7 +227,7 @@ def _denote(m: FOStructure, formula: Formula, context: int, budget: int) -> int:
         tuples = all_assignments(m.carrier, context)
         picks = [map(itemgetter(i - 1), tuples) for i in formula.args]
         keys = zip(*picks) if picks else [()] * len(tuples)
-        return _mask(map(rel.tuples.__contains__, keys))
+        return mask_of(map(rel.tuples.__contains__, keys))
     full = (1 << base ** context) - 1
     if isinstance(formula, Not):
         return full ^ _denote(m, formula.body, context, budget)

@@ -7,11 +7,11 @@ g : Q -> P with ``x <= g(z)  iff  f(x) <= z`` for all x, z.
 
 Orders are bitmasks: bit i of a mask stands for ``elements[i]``.  A poset's
 fields are its elements and up-set masks, a monotone map's its image
-positions; ``leq`` and ``graph`` are made on read.  With n elements and m
-related pairs, construction takes O(m) mask operations (``from_relation``
-closes by Warshall's algorithm, O(n²)); ``le`` is a bit test; ``least_of``,
-``glb`` and their duals take one AND per member; ``MonotoneMap`` checks one
-bit per related pair of its domain; adjoints and their checks take O(|P|·|Q|).
+positions; ``leq`` and ``graph`` are made on read.  Checks take whole rows:
+``from_relation`` closes in one pass over a topological order (Purdom), each
+row must be the OR of the rows it selects, and ``downs`` and the preimages
+along a map are transposes.  With m related pairs among n elements, ``_dense``
+picks walking the set bits (O(m) Python steps) or scanning the n² digits.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from functools import reduce
+from itertools import compress, product
+from operator import and_, or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AdjunctionFails, InvalidPoset, NotMonotone, UnknownElement
 
@@ -32,6 +35,52 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_DIGITS, _TRUTHS = bytes.maketrans(b"\x00\x01", b"01"), bytes.maketrans(b"01", b"\x00\x01")
+
+
+def digits(mask: int, size: int) -> str:
+    """The ``size`` bits of ``mask`` < 2**size as '0'/'1' characters, bit 0 first."""
+    return bin(mask | 1 << size)[:2:-1]
+
+
+def mask_of(truths: Iterable) -> int:
+    """The mask whose bit i is the i-th of the truth values ``truths``."""
+    return int(bytes(truths).translate(_DIGITS)[::-1] or b"0", 2)
+
+
+def _dense(ones: int, rows: int, width: int) -> bool:
+    """Whether scanning ``rows`` masks of ``width`` digits beats walking their ``ones`` set bits."""
+    return ones * 20 > rows * (width + 100)
+
+
+def _truths(rows: Sequence[int], width: int) -> bytes:
+    """The digits of ``rows``, one row after another, as 0/1 bytes."""
+    return "".join([digits(row, width) for row in rows]).encode().translate(_TRUTHS)
+
+
+def select(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of ``mask``, lowest first."""
+    if _dense(mask.bit_count(), 1, len(items)):
+        return compress(items, _truths((mask,), len(items)))
+    return map(items.__getitem__, bits(mask))
+
+
+def _transpose(rows: Sequence[int], width: int, truths: bytes = b"") -> list[int]:
+    """The column masks of a bit matrix: bit i of column j is bit j of ``rows[i]``;
+    ``truths``, if given, is ``_truths(rows, width)``."""
+    if truths or _dense(sum(map(int.bit_count, rows)), len(rows), width):
+        truths = truths or _truths(rows, width)
+        return [mask_of(truths[j::width]) for j in range(width)]
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            j = row.bit_length() - 1
+            cols[j] |= bit
+            row ^= 1 << j
+    return cols
 
 
 def _indexed(elements: tuple) -> dict:
@@ -69,16 +118,23 @@ class FinitePoset:
 
     def _settle(self, elements: tuple, index: dict, ups: list[int]) -> None:
         """Check the order given by its up-set masks, then store it."""
+        n = len(elements)
         for i, x in enumerate(elements):
             if not ups[i] >> i & 1:
                 raise InvalidPoset(f"relation is not reflexive at {x!r}")
-        downs = [0] * len(elements)
-        for i, x in enumerate(elements):
-            for j in bits(ups[i]):
-                downs[j] |= 1 << i
-                if ups[j] & ~ups[i]:
-                    z = elements[next(bits(ups[j] & ~ups[i]))]
-                    raise InvalidPoset(f"relation is not transitive: {x!r} <= {elements[j]!r} <= {z!r}")
+        truths = _truths(ups, n) if _dense(sum(map(int.bit_count, ups)), n, n) else b""
+        if truths and all(  # each row is the OR of the rows it selects
+            reduce(or_, compress(ups, truths[i * n:i * n + n])) == row for i, row in enumerate(ups)
+        ):
+            downs = _transpose(ups, n, truths)
+        else:  # walk the set bits: a sparse order, or the first x <= y <= z without x <= z
+            downs = [1 << i for i in range(n)]
+            for i, (x, row) in enumerate(zip(elements, ups)):
+                for j in bits(row ^ 1 << i):
+                    downs[j] |= 1 << i
+                    if ups[j] & ~row:
+                        z = elements[next(bits(ups[j] & ~row))]
+                        raise InvalidPoset(f"relation is not transitive: {x!r} <= {elements[j]!r} <= {z!r}")
         for i, x in enumerate(elements):
             if ups[i] & downs[i] != 1 << i:
                 y = elements[next(bits(ups[i] & downs[i] & ~(1 << i)))]
@@ -100,16 +156,27 @@ class FinitePoset:
         is applied, then antisymmetry is checked."""
         elems = tuple(elements)
         index = _indexed(elems)
-        ups = [1 << i for i in range(len(elems))]
+        ups, below = [1 << i for i in range(len(elems))], [[] for _ in elems]
         for x, y in pairs:
             if x not in index or y not in index:
                 raise InvalidPoset(f"relation mentions unknown element in ({x!r}, {y!r})")
-            ups[index[x]] |= 1 << index[y]
-        for k in range(len(elems)):  # Warshall: paths through elements[k]
-            bit, above = 1 << k, ups[k]
-            for i, row in enumerate(ups):
-                if row & bit:
-                    ups[i] = row | above
+            i, j = index[x], index[y]
+            if not ups[i] >> j & 1:
+                ups[i] |= 1 << j
+                below[j].append(i)  # below[j]: the i with a pair (i, j)
+        # close sinks first: a row is final once every row it points to is
+        waiting = [row.bit_count() - 1 for row in ups]
+        done = [i for i, count in enumerate(waiting) if not count]
+        for j in done:
+            for i in below[j]:
+                ups[i] |= ups[j]
+                waiting[i] -= 1
+                if not waiting[i]:
+                    done.append(i)
+        cyclic = [i for i, count in enumerate(waiting) if count]
+        for k, i in product(cyclic, repeat=2):  # Warshall on the rows on or above a cycle
+            if ups[i] >> k & 1:
+                ups[i] |= ups[k]
         return cls._from_ups(elems, ups)
 
     @classmethod
@@ -126,7 +193,10 @@ class FinitePoset:
     @property
     def leq(self) -> frozenset[tuple[Element, Element]]:
         """The related pairs, made from the masks on each read."""
-        return frozenset((x, self.elements[j]) for x, row in zip(self.elements, self.ups) for j in bits(row))
+        elements, ups = self.elements, self.ups
+        if _dense(sum(map(int.bit_count, ups)), len(ups), len(ups)):
+            return frozenset(compress(product(elements, repeat=2), _truths(ups, len(ups))))
+        return frozenset((x, elements[j]) for x, row in zip(elements, ups) for j in bits(row))
 
     def position(self, x: Element) -> int:
         try:
@@ -143,14 +213,12 @@ class FinitePoset:
 
     def members(self, mask: int) -> tuple[Element, ...]:
         """The elements of ``mask`` in element order."""
-        return tuple(self.elements[i] for i in bits(mask))
+        return tuple(select(self.elements, mask))
 
     def _pick(self, mask: int, bounds: tuple[int, ...]) -> int | None:
         """The position of the member of ``mask`` bounding all of it: least if ``bounds`` are downs."""
-        found = mask
-        for i in bits(mask):
-            found &= bounds[i]
-        return next(bits(found)) if found else None
+        found = reduce(and_, select(bounds, mask), mask)
+        return (found & -found).bit_length() - 1 if found else None
 
     def _name(self, i: int | None) -> Element | None:
         return None if i is None else self.elements[i]
@@ -191,17 +259,19 @@ class MonotoneMap:
         self._settle(dom, cod, tuple(cod.index[graph[x]] for x in dom.elements))
 
     def _settle(self, dom: FinitePoset, cod: FinitePoset, image: tuple[int, ...]) -> None:
-        """Check that ``image`` preserves the order, then store it."""
-        for i, x in enumerate(dom.elements):
-            allowed = cod.ups[image[i]]
-            for j in bits(dom.ups[i]):
-                if not allowed >> image[j] & 1:
-                    y = dom.elements[j]
-                    raise NotMonotone(
-                        f"{x!r} <= {y!r} but images {cod.elements[image[i]]!r}, "
-                        f"{cod.elements[image[j]]!r} are not ordered",
-                        witness=(x, y),
-                    )
+        """Check that ``image`` preserves the order, then store it: the up-set of
+        each x below something lies in the preimage of its image's up-set."""
+        rising = [i for i, row in enumerate(dom.ups) if row & row - 1]
+        above = _preimages(image, cod.downs) if rising else ()
+        for i in rising:
+            if dom.ups[i] & ~above[image[i]]:
+                j = next(bits(dom.ups[i] & ~above[image[i]]))
+                x, y = dom.elements[i], dom.elements[j]
+                raise NotMonotone(
+                    f"{x!r} <= {y!r} but images {cod.elements[image[i]]!r}, "
+                    f"{cod.elements[image[j]]!r} are not ordered",
+                    witness=(x, y),
+                )
         self.__dict__.update(dom=dom, cod=cod, image=image)
 
     @classmethod
@@ -218,13 +288,14 @@ class MonotoneMap:
     def __call__(self, x: Element) -> Element:
         return self.cod.elements[self.image[self.dom.position(x)]]
 
-    def preimage(self, mask: int) -> int:
-        """The mask over dom of the elements sent into ``mask`` over cod."""
-        return sum(1 << i for i, c in enumerate(self.image) if mask >> c & 1)
-
     @classmethod
     def identity(cls, P: FinitePoset) -> "MonotoneMap":
         return cls._from_image(P, P, tuple(range(len(P.elements))))
+
+
+def _preimages(image: tuple[int, ...], rows: tuple[int, ...]) -> list[int]:
+    """Preimages along ``image`` of every up-set (``rows`` = cod.downs) or down-set (cod.ups)."""
+    return _transpose([rows[c] for c in image], len(rows))
 
 
 def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
@@ -250,7 +321,7 @@ class Approximation:
 
 def approximation_report(g: MonotoneMap, x: Element) -> Approximation:
     """All y in dom(g) with x <= g(y), and the least such y when it exists."""
-    above = g.preimage(g.cod.ups[g.cod.position(x)])
+    above = mask_of(g.cod.ups[g.cod.position(x)] >> c & 1 for c in g.image)
     least = g.dom._name(g.dom._pick(above, g.dom.downs))
     status = "found" if least is not None else "no-least" if above else "empty"
     return Approximation(x, g.dom.members(above), least, status)
@@ -263,23 +334,25 @@ def best_approximation(g: MonotoneMap, x: Element) -> Element | None:
 
 def greatest_below(f: MonotoneMap, z: Element) -> Element | None:
     """The greatest x with f(x) <= z, or None: the right adjoint's value at z."""
-    return f.dom._name(f.dom._pick(f.preimage(f.cod.downs[f.cod.position(z)]), f.dom.ups))
+    below = mask_of(f.cod.downs[f.cod.position(z)] >> c & 1 for c in f.image)
+    return f.dom._name(f.dom._pick(below, f.dom.ups))
 
 
-def _pointwise(m: MonotoneMap, near: tuple[int, ...], bounds: tuple[int, ...]) -> MonotoneMap | None:
-    """The map cod -> dom picking by ``bounds`` in each preimage of ``near``, if total and monotone."""
-    image = tuple(m.dom._pick(m.preimage(mask), bounds) for mask in near)
+def _pointwise(m: MonotoneMap, rows: tuple[int, ...], bounds: tuple[int, ...]) -> MonotoneMap | None:
+    """The map cod -> dom picking by ``bounds`` in the preimage along ``m`` of each
+    codomain up-set (``rows`` = cod.downs) or down-set (cod.ups), if total and monotone."""
+    image = tuple(m.dom._pick(mask, bounds) for mask in _preimages(m.image, rows))
     return None if None in image else MonotoneMap._from_image(m.cod, m.dom, image)
 
 
 def left_adjoint(g: MonotoneMap) -> MonotoneMap | None:
     """The map f with x <= g(z) iff f(x) <= z, if every x has a best approximant."""
-    return _pointwise(g, g.cod.ups, g.dom.downs)
+    return _pointwise(g, g.cod.downs, g.dom.downs)
 
 
 def right_adjoint(f: MonotoneMap) -> MonotoneMap | None:
     """The map g with f(x) <= z iff x <= g(z): g(z) is the greatest x with f(x) <= z."""
-    return _pointwise(f, f.cod.downs, f.dom.ups)
+    return _pointwise(f, f.cod.ups, f.dom.ups)
 
 
 def adjunction_witness(f: MonotoneMap, g: MonotoneMap) -> tuple[Element, Element] | None:
@@ -287,9 +360,9 @@ def adjunction_witness(f: MonotoneMap, g: MonotoneMap) -> tuple[Element, Element
     P, Q = f.dom, f.cod
     if g.dom != Q or g.cod != P:
         raise ValueError("maps do not form a P -> Q / Q -> P pair")
+    above = _preimages(g.image, P.downs)  # above[i]: the z with x <= g(z)
     for i, x in enumerate(P.elements):
-        # the z with x <= g(z) against the z with f(x) <= z
-        differ = g.preimage(P.ups[i]) ^ Q.ups[f.image[i]]
+        differ = above[i] ^ Q.ups[f.image[i]]  # against the z with f(x) <= z
         if differ:
             return (x, Q.elements[next(bits(differ))])
     return None

@@ -103,9 +103,63 @@ class RefPoset:
         return self.least_of([z for z in self.elements if self.le(x, z) and self.le(y, z)])
 
 
+def closure(elements, pairs):
+    """The reflexive-transitive closure of ``pairs`` as a pair set: what each
+    element reaches by a depth-first search over the pairs."""
+    after = {x: set() for x in elements}
+    for x, y in pairs:
+        after[x].add(y)
+    closed = set()
+    for x in elements:
+        seen, stack = {x}, [x]
+        while stack:
+            for y in after[stack.pop()] - seen:
+                seen.add(y)
+                stack.append(y)
+        closed |= {(x, y) for y in seen}
+    return frozenset(closed)
+
+
+def order_violation(elements, leq):
+    """The InvalidPoset text of the first failed order law, in element order:
+    reflexivity at the first element, then the first x <= y <= z (least x,
+    then y, then z) without x <= z, then the first x, y related both ways;
+    None for a partial order."""
+    at = {x: i for i, x in enumerate(elements)}
+    above = {x: set() for x in elements}
+    for x, y in leq:
+        above[x].add(y)
+    for x in elements:
+        if x not in above[x]:
+            return f"relation is not reflexive at {x!r}"
+    for x in elements:
+        for y in sorted(above[x], key=at.get):
+            if above[y] - above[x]:
+                z = min(above[y] - above[x], key=at.get)
+                return f"relation is not transitive: {x!r} <= {y!r} <= {z!r}"
+    for x in elements:
+        for y in sorted(above[x], key=at.get):
+            if y != x and x in above[y]:
+                return f"relation is not antisymmetric on {x!r}, {y!r}"
+    return None
+
+
+class PairOrder:
+    """A relation read through ``elements`` and ``le`` only, unchecked: enough
+    for :func:`monotone_witness` and :func:`adjunction_witness` on orders too
+    large for :class:`RefPoset`, whose checks scan all pairs of pairs."""
+
+    def __init__(self, elements, leq):
+        self.elements, self.leq = tuple(elements), frozenset(leq)
+
+    def le(self, x, y):
+        return (x, y) in self.leq
+
+
 def monotone_witness(dom: RefPoset, cod: RefPoset, graph):
     """Raise NotMonotone on the first (x, y) in element order with x <= y
-    and unordered images, with the text the map constructor must give."""
+    and unordered images, with the text the map constructor must give.
+    Only ``elements`` and ``le`` of the two orders are read."""
     for x in dom.elements:
         for y in dom.elements:
             if dom.le(x, y) and not cod.le(graph[x], graph[y]):

@@ -302,6 +302,32 @@ class TestOneStoredOrder:
         with pytest.raises(InvalidPoset, match=r"unknown element in \('a', 'z'\)"):
             FinitePoset("ab", (pair for pair in pairs))
 
+    def test_generators_build_the_list_built_poset(self):
+        """Each constructor reads its elements and pairs once, so a closure
+        that passes over the pairs twice would lose them here."""
+        elements = [f"g{i}" for i in range(70)]
+        order = elements[::-1]  # so that no pair points up the element order
+        pairs = [(order[i], order[j]) for i in range(70) for j in (i + 1, i + 5) if j < 70]
+        listed = FinitePoset.from_relation(elements, pairs)
+        assert FinitePoset.from_relation(iter(elements), iter(pairs)) == listed
+        assert FinitePoset.from_relation((x for x in elements), (p for p in pairs)).leq == listed.leq
+        assert FinitePoset(iter(elements), iter(listed.leq)) == listed
+        assert FinitePoset.chain(iter(order)) == FinitePoset.chain(order)
+        assert FinitePoset.chain(order).leq == listed.leq
+        assert FinitePoset.antichain(iter(elements)) == FinitePoset.antichain(elements)
+        assert len(FinitePoset.antichain(iter(elements)).leq) == 70
+
+    @pytest.mark.parametrize("middle", [1, 35, 68])
+    def test_a_chain_missing_one_pair_names_its_only_witness(self, middle):
+        """x <= y <= z with y the only element between x and z: the row test
+        must OR the row of y wherever y sits in the element order."""
+        names = [f"c{i}" for i in range(70)]
+        x, y, z = names[middle - 1:middle + 2]
+        leq = FinitePoset.chain(names).leq - {(x, z)}
+        for order in (names, names[::-1], [n for n in names if n != y] + [y]):
+            with pytest.raises(InvalidPoset, match=f"^relation is not transitive: '{x}' <= '{y}' <= '{z}'$"):
+                FinitePoset(order, leq)
+
     def test_a_map_keeps_its_graph_when_the_dict_changes(self):
         graph = {"0": "0", "2": "2"}
         inclusion = MonotoneMap(TWO_CHAIN, THREE_CHAIN, graph)

@@ -1,6 +1,9 @@
 """The bitmask orders and subset operators against the pair-set reference
 (`reference_orders`) on random relations, maps and subsets of at most eight
-elements, cyclic relations included."""
+elements, cyclic relations included, and the order checks on orders of up to
+130 elements, at the edges of the mask kernels."""
+
+import random
 
 import pytest
 from hypothesis import given
@@ -13,6 +16,7 @@ from fincat.galois import (
     FinitePoset,
     MonotoneMap,
     adjunction_witness,
+    bits,
     left_adjoint,
     right_adjoint,
     unit_counit_violations,
@@ -192,6 +196,123 @@ def test_box_agrees(A, B, data):
     r = FiniteRelation(A, B, pairs)
     got = box(r, SubsetOf(B, members))
     assert got.members == ref.box(r, ref.RefSubset(B, members)).members
+
+
+# The mask kernels change course at word and digit-table boundaries and
+# between their sparse and dense paths, so these orders have 0, 1, 2, 63, 64,
+# 65 or 130 elements, and densities from an antichain to a near chain.
+EDGE_SIZES = (0, 1, 2, 63, 64, 65, 130)
+SEEDS = st.integers(0, 2**32 - 1)  # a seeded generator draws the many bits of a large order
+
+
+@st.composite
+def edge_relations(draw, prefix="e", cycles=True):
+    """A relation on a shuffled element list of an edge size: pairs up a
+    hidden order at a drawn density, some self-loops and, with ``cycles``,
+    some pairs back down the hidden order."""
+    n = draw(st.sampled_from(EDGE_SIZES))
+    rng = random.Random(draw(SEEDS))
+    density = draw(st.sampled_from((0.0, 0.03, 0.2, 0.7)))
+    hidden = [f"{prefix}{i}" for i in range(n)]
+    pairs = [(x, y) for i, x in enumerate(hidden) for y in hidden[i + 1:] if rng.random() < density]
+    pairs += [(x, x) for x in rng.sample(hidden, min(n, 3))]
+    if cycles and n > 1:
+        for _ in range(draw(st.integers(0, 2))):
+            low, high = sorted(rng.sample(range(n), 2))
+            pairs.append((hidden[high], hidden[low]))
+    rng.shuffle(pairs)
+    elements = rng.sample(hidden, n)
+    return elements, pairs
+
+
+def _expect_order(build, elements, leq):
+    """``build()`` gives the poset of ``leq``, or raises the reference text."""
+    expected = ref.order_violation(elements, leq)
+    if expected is not None:
+        with pytest.raises(InvalidPoset) as failed:
+            build()
+        assert str(failed.value) == expected
+        return
+    poset = build()
+    assert poset.leq == leq
+    downs = {(poset.elements[i], y) for y, row in zip(poset.elements, poset.downs) for i in bits(row)}
+    assert downs == leq
+
+
+@given(edge_relations())
+def test_from_relation_matches_the_reference_closure_at_edge_sizes(rel):
+    elements, pairs = rel
+    leq = ref.closure(elements, pairs)
+    _expect_order(lambda: FinitePoset.from_relation(iter(elements), iter(pairs)), elements, leq)
+
+
+@st.composite
+def edge_tables(draw):
+    """The pairs of a partial order of an edge size with one or two faults:
+    a reflexive pair dropped, a related pair dropped, an unrelated pair added,
+    or a related pair turned into a cycle and closed again, so that any law
+    may fail first."""
+    elements, pairs = draw(edge_relations(cycles=False))
+    leq = set(ref.closure(elements, pairs))
+    rng = random.Random(draw(SEEDS))
+    for kind in draw(st.lists(st.sampled_from(("loop", "drop", "add", "cycle")), min_size=1, max_size=2)):
+        strict = sorted((x, y) for x, y in leq if x != y)
+        if kind == "loop" and elements:
+            leq.discard((rng.choice(elements),) * 2)
+        elif kind == "drop" and strict:
+            leq.discard(rng.choice(strict))
+        elif kind == "add" and len(elements) > 1:
+            leq.add(tuple(rng.sample(elements, 2)))
+        elif kind == "cycle" and strict:
+            leq = set(ref.closure(elements, leq | {tuple(reversed(rng.choice(strict)))}))
+    return elements, frozenset(leq)
+
+
+@given(edge_tables())
+def test_mask_check_matches_the_reference_laws_at_edge_sizes(table):
+    elements, leq = table
+    at = {x: i for i, x in enumerate(elements)}
+    ups = [0] * len(elements)
+    for x, y in leq:
+        ups[at[x]] |= 1 << at[y]
+    _expect_order(lambda: FinitePoset._from_ups(elements, iter(ups)), elements, leq)
+    _expect_order(lambda: FinitePoset(elements, leq), elements, leq)
+
+
+@given(edge_relations("x", cycles=False), edge_relations("y", cycles=False), st.data())
+def test_monotone_check_matches_the_reference_at_edge_sizes(dom_rel, cod_rel, data):
+    """Maps that are constant, or the identity of the domain, with up to two
+    elements sent elsewhere: the first unordered pair and its text match."""
+    (dom, dom_pairs), (cod, cod_pairs) = dom_rel, cod_rel
+    if data.draw(st.booleans()):
+        cod, cod_pairs = dom, dom_pairs
+        graph = {x: x for x in dom}
+    elif cod:
+        graph = dict.fromkeys(dom, data.draw(st.sampled_from(cod)))
+    else:
+        cod, cod_pairs = ["y"], []
+        graph = dict.fromkeys(dom, "y")
+    rng = random.Random(data.draw(SEEDS))
+    for x in rng.sample(dom, min(len(dom), data.draw(st.integers(0, 2)))):
+        graph[x] = rng.choice(cod)
+    P, Q = FinitePoset.from_relation(dom, dom_pairs), FinitePoset.from_relation(cod, cod_pairs)
+    RP = ref.PairOrder(dom, ref.closure(dom, dom_pairs))
+    RQ = ref.PairOrder(cod, ref.closure(cod, cod_pairs))
+    try:
+        m = MonotoneMap(P, Q, graph)
+    except NotMonotone as exc:
+        with pytest.raises(NotMonotone) as expected:
+            ref.monotone_witness(RP, RQ, graph)
+        assert (exc.witness, str(exc)) == (expected.value.witness, str(expected.value))
+        return
+    ref.monotone_witness(RP, RQ, graph)
+    assert m.graph == graph
+    # any adjoint found is one: its pair passes both checks
+    for f, g in ((left_adjoint(m), m), (m, right_adjoint(m))):
+        if f is not None and g is not None:
+            assert adjunction_witness(f, g) is None
+            RF, RG = (RP, RQ) if f is m else (RQ, RP)
+            assert ref.adjunction_witness(RF, RG, f.graph, g.graph) is None
 
 
 def test_cycle_witness_is_the_first_in_element_order():
