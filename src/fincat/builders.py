@@ -4,7 +4,9 @@ Covers: all functions between named finite sets, all relations, a poset as
 a thin category, a monoid as a one-object category, and matrices over a
 prime field, whose composites are made by id as the deciders read them.
 Arrow names are canonical and deterministic (graphs serialized in element
-order) so fixtures reproduce byte for byte.
+order) so fixtures reproduce byte for byte.  These categories keep only
+their kernel: a function, relation or matrix is made on read, decoded from
+the offset of its arrow in its hom-set.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .core import (
@@ -23,12 +26,8 @@ from .core import (
     take,
     validate,
 )
-from .errors import (
-    EnumerationBudgetExceeded,
-    InvalidMonoid,
-    UnknownArrow,
-)
-from .galois import FinitePoset, bits
+from .errors import EnumerationBudgetExceeded, InvalidMonoid
+from .galois import FinitePoset, bits, select
 
 
 @dataclass(frozen=True)
@@ -90,13 +89,6 @@ class FiniteFunction:
         return cls(s, s, {x: x for x in s.elements})
 
 
-def compose_functions(g: FiniteFunction, f: FiniteFunction) -> FiniteFunction:
-    """The composite "f then g"."""
-    if f.cod != g.dom:
-        raise ValueError("functions are not composable")
-    return FiniteFunction(f.dom, g.cod, {x: g(f(x)) for x in f.dom.elements})
-
-
 @dataclass(frozen=True)
 class FiniteRelation:
     """A relation between named finite sets: a set of (source, target) pairs."""
@@ -115,19 +107,6 @@ class FiniteRelation:
     @classmethod
     def diagonal(cls, s: NamedFiniteSet) -> "FiniteRelation":
         return cls(s, s, frozenset((x, x) for x in s.elements))
-
-
-def compose_relations(s: FiniteRelation, r: FiniteRelation) -> FiniteRelation:
-    """Relational composite "r then s": pairs (x, z) with some y related both ways."""
-    if r.cod != s.dom:
-        raise ValueError("relations are not composable")
-    mid: dict[Hashable, set] = {}
-    for y, z in s.pairs:
-        mid.setdefault(y, set()).add(z)
-    pairs = frozenset(
-        (x, z) for x, y in r.pairs for z in mid.get(y, ())
-    )
-    return FiniteRelation(r.dom, s.cod, pairs)
 
 
 @dataclass(frozen=True)
@@ -209,64 +188,76 @@ class MatrixOverZp:
         return MatrixOverZp(self.p, self.rows, other.cols, entries)
 
 
-def _function_arrow_name(fn: FiniteFunction) -> str:
-    body = ",".join(f"{x}:{fn.graph[x]}" for x in fn.dom.elements)
-    return f"{fn.dom.name}->{fn.cod.name}{{{body}}}"
+def _function_arrow_name(dom: NamedFiniteSet, cod: NamedFiniteSet, images: Iterable) -> str:
+    """The name of the function sending the elements of ``dom`` to ``images``."""
+    body = ",".join(f"{x}:{y}" for x, y in zip(dom.elements, images))
+    return f"{dom.name}->{cod.name}{{{body}}}"
 
 
-def _relation_arrow_name(rel: FiniteRelation) -> str:
-    order = {x: i for i, x in enumerate(rel.dom.elements)}
-    corder = {y: i for i, y in enumerate(rel.cod.elements)}
-    pairs = sorted(rel.pairs, key=lambda xy: (order[xy[0]], corder[xy[1]]))
-    body = ",".join(f"({x},{y})" for x, y in pairs)
-    return f"{rel.dom.name}->{rel.cod.name}{{{body}}}"
+def _hom_code(C: FiniteCategory, f: ArrowId) -> tuple[int, int, int]:
+    """The dom and cod ids of the arrow ``f``, and its offset in their hom-set."""
+    K = C.kernel()
+    i = K.arrow_id(f)
+    a, b = K.dom[i], K.cod[i]
+    return a, b, i - K.homs[a][b][0]
 
 
 @dataclass(frozen=True, eq=False)
 class FinSetCategory(FiniteCategory):
-    """All functions between the given sets, with element-level access."""
+    """All functions between the given sets; each is made on read from its id."""
 
     sets: Mapping[str, NamedFiniteSet]
-    functions: Mapping[ArrowId, FiniteFunction]
 
     def function(self, f: ArrowId) -> FiniteFunction:
-        try:
-            return self.functions[f]
-        except KeyError:
-            raise UnknownArrow(f"unknown arrow {f!r}") from None
+        """The function an arrow name renders."""
+        a, b, code = _hom_code(self, f)
+        X, Y = self.sets[self.objects[a]], self.sets[self.objects[b]]
+        images = _digits(code, len(Y.elements), len(X.elements))
+        return FiniteFunction(X, Y, {x: Y.elements[j] for x, j in zip(X.elements, images)})
+
+    @cached_property
+    def functions(self) -> dict[ArrowId, FiniteFunction]:
+        """Every arrow's function, in arrow order; made on first read and kept."""
+        return {f: self.function(f) for f in self.all_arrows()}
 
 
 @dataclass(frozen=True, eq=False)
 class FinRelCategory(FiniteCategory):
-    """All relations between the given sets, with pair-level access."""
+    """All relations between the given sets; each is made on read from its id."""
 
     sets: Mapping[str, NamedFiniteSet]
-    relations: Mapping[ArrowId, FiniteRelation]
 
     def relation(self, f: ArrowId) -> FiniteRelation:
-        try:
-            return self.relations[f]
-        except KeyError:
-            raise UnknownArrow(f"unknown arrow {f!r}") from None
+        """The relation an arrow name renders."""
+        a, b, code = _hom_code(self, f)
+        X, Y = self.sets[self.objects[a]], self.sets[self.objects[b]]
+        rows = reversed(_digits(code, 1 << len(Y.elements), len(X.elements)))
+        pairs = ((x, y) for x, row in zip(X.elements, rows) for y in select(Y.elements, row))
+        return FiniteRelation(X, Y, frozenset(pairs))
+
+    @cached_property
+    def relations(self) -> dict[ArrowId, FiniteRelation]:
+        """Every arrow's relation, in arrow order; made on first read and kept."""
+        return {f: self.relation(f) for f in self.all_arrows()}
 
 
 def _all_arrows(
     cls: type[FiniteCategory], sets: Iterable[NamedFiniteSet], cap: int, budget: int,
     kind: str, count: Callable[[int, int], int],
     hom: Callable[[NamedFiniteSet, NamedFiniteSet], dict],
-    identity: Callable[[NamedFiniteSet], tuple], table: Callable[[tuple], list | tuple], **fields,
+    identity: Callable[[NamedFiniteSet], tuple], table: Callable[[tuple], list | tuple],
 ) -> FiniteCategory:
     """The ``cls`` category with the given sets as objects and every arrow
-    of a kind; its ``sets`` field maps each name to its set, and ``fields``
-    are its other extra fields.
+    of a kind; its ``sets`` field maps each name to its set.
 
-    ``count(|X|, |Y|)`` is the size of hom(X, Y), checked against the budget
-    before anything is built; ``hom(X, Y)`` maps the key of each arrow X -> Y
-    to its name, in hom order; ``identity(S)`` is the key of the identity of
-    S; and the key of "f then g", which lands in the hom from dom f to
-    cod g, is ``table(g)`` read at the positions that the key of f lists.
-    Each name is rendered once, by ``hom``, each table is made once per g,
-    and each composite is looked up once, by id, into the row of g.
+    ``count(|X|, |Y|)`` is the size of hom(X, Y); the non-empty homs, then
+    the arrows, are checked against the budget before anything is built.
+    ``hom(X, Y)`` maps the key of each arrow X -> Y to its name, in hom
+    order; ``identity(S)`` is the key of the identity of S; and the key of
+    "f then g", which lands in the hom from dom f to cod g, is ``table(g)``
+    read at the positions that the key of f lists.  Each name is rendered
+    once, by ``hom``, from its key, each table is made once per g, and each
+    composite is looked up once, by id, into the row of g.
     """
     sets = tuple(sets)
     if len(set(s.name for s in sets)) != len(sets):
@@ -276,9 +267,12 @@ def _all_arrows(
             raise EnumerationBudgetExceeded(
                 f"set {s.name!r} has {len(s.elements)} elements, cap is {cap}"
             )
-    total = sum(count(len(x.elements), len(y.elements)) for x in sets for y in sets)
-    if total > budget:
-        raise EnumerationBudgetExceeded(f"{total} {kind} exceed the budget of {budget}")
+    # only a hom from a non-empty set into an empty one can be empty
+    empty = sum(not s.elements for s in sets)
+    homs = len(sets) ** 2 - (0 if count(1, 0) else empty * (len(sets) - empty))
+    _require_arrows(homs, kind, budget, "at least ")
+    _require_arrows(sum(count(len(x.elements), len(y.elements)) for x in sets for y in sets),
+                    kind, budget)
 
     names: list[ArrowId] = []
     keys: list[tuple] = []
@@ -307,9 +301,13 @@ def _all_arrows(
                 rows.append(tuple(row))
     identity_ids = [ids[i][i][identity(s)] for i, s in enumerate(sets)]
     objects = tuple(s.name for s in sets)
-    return cls.from_rows(
-        objects, names, dom, cod, identity_ids, rows, sets=dict(zip(objects, sets)), **fields
-    )
+    return cls.from_rows(objects, names, dom, cod, identity_ids, rows, sets=dict(zip(objects, sets)))
+
+
+def _require_arrows(total: int, kind: str, budget: int, bound: str = "") -> None:
+    """Raise unless ``total`` arrows fit, ``bound`` naming a lower bound."""
+    if total > budget:
+        raise EnumerationBudgetExceeded(f"{bound}{total} {kind} exceed the budget of {budget}")
 
 
 def build_finset(
@@ -319,22 +317,18 @@ def build_finset(
 
     Hom-set sizes grow as |Y| ** |X|, so each set is capped (default 4) and
     the total arrow count must stay within the budget.  A function is keyed
-    by its tuple of image positions, so a composite is a tuple lookup.
+    by its tuple of image positions, so a composite is a tuple lookup, and
+    its offset in its hom-set is the base-|Y| code of that tuple.
     """
-    functions: dict[ArrowId, FiniteFunction] = {}
 
     def hom(dom: NamedFiniteSet, cod: NamedFiniteSet) -> dict:
-        names = {}
-        for images in itertools.product(range(len(cod.elements)), repeat=len(dom.elements)):
-            graph = {x: cod.elements[i] for x, i in zip(dom.elements, images)}
-            fn = FiniteFunction(dom, cod, graph)
-            names[images] = _function_arrow_name(fn)
-            functions[names[images]] = fn
-        return names
+        keys = itertools.product(range(len(cod.elements)), repeat=len(dom.elements))
+        return {images: _function_arrow_name(dom, cod, map(cod.elements.__getitem__, images))
+                for images in keys}
 
     return _all_arrows(
         FinSetCategory, sets, cap, budget, "functions", lambda x, y: y ** x, hom,
-        lambda s: tuple(range(len(s.elements))), lambda images: images, functions=functions,
+        lambda s: tuple(range(len(s.elements))), lambda images: images,
     )
 
 
@@ -347,20 +341,20 @@ def build_finrel(
     Composition is the usual relational composite; identities are diagonals.
     A relation X -> Y is keyed by its rows, one mask of related elements of
     Y per element of X, and hom(X, Y) lists them in the order of the mask
-    whose bit ``i·|Y| + j`` relates the i-th element of X to the j-th of Y.
+    whose bit ``i·|Y| + j`` relates the i-th element of X to the j-th of Y,
+    so its offset in its hom-set is that mask.
     """
-    relations: dict[ArrowId, FiniteRelation] = {}
 
     def hom(dom: NamedFiniteSet, cod: NamedFiniteSet) -> dict:
-        names = {}
-        width = len(cod.elements)
-        all_pairs = [(x, y) for x in dom.elements for y in cod.elements]
-        for mask in range(2 ** len(all_pairs)):
-            rel = FiniteRelation(dom, cod, frozenset(p for i, p in enumerate(all_pairs) if mask >> i & 1))
-            rows = tuple(mask >> (i * width) & ((1 << width) - 1) for i in range(len(dom.elements)))
-            names[rows] = _relation_arrow_name(rel)
-            relations[names[rows]] = rel
-        return names
+        # texts[i][row]: the pairs that the mask ``row`` relates element i to;
+        # the last element's row is the most significant digit of the mask
+        masks = range(1 << len(cod.elements))
+        texts = [[",".join(f"({x},{y})" for y in select(cod.elements, row)) for row in masks]
+                 for x in dom.elements]
+        codes = itertools.product(masks, repeat=len(dom.elements))
+        head = f"{dom.name}->{cod.name}{{"
+        return {rows: head + ",".join(filter(None, map(list.__getitem__, texts, rows))) + "}"
+                for rows in (code[::-1] for code in codes)}
 
     def unions(s_rows: tuple[int, ...]) -> list[int]:
         # entry m is the union of the rows of s that the mask m picks, so row i
@@ -372,7 +366,7 @@ def build_finrel(
 
     return _all_arrows(
         FinRelCategory, sets, cap, budget, "relations", lambda x, y: 2 ** (x * y), hom,
-        lambda s: tuple(1 << i for i in range(len(s.elements))), unions, relations=relations,
+        lambda s: tuple(1 << i for i in range(len(s.elements))), unions,
     )
 
 
@@ -454,10 +448,8 @@ class MatCategory(FiniteCategory):
 
     def matrix(self, f: ArrowId) -> MatrixOverZp:
         """The matrix an arrow name renders."""
-        K = self.kernel()
-        i = K.arrow_id(f)
-        n, m = K.dom[i], K.cod[i]
-        flat = _digits(i - K.homs[n][m][0], self.p, n * m)
+        n, m, code = _hom_code(self, f)
+        flat = _digits(code, self.p, n * m)
         return MatrixOverZp(self.p, n, m, tuple(flat[r * m : (r + 1) * m] for r in range(n)))
 
 
@@ -471,21 +463,22 @@ def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory
 
     The composite of M : n -> m followed by N : m -> k is the n x k matrix
     product M·N, whose i-th row is the i-th row of M times N.  Every arrow
-    is listed when the category is built, once their total count, the sum
-    of p^(n·m) over all pairs of dimensions, is within the budget; no
-    composite is.  The row and the column of an arrow are made by id the
-    first time a decider reads them, from the action of each arrow's matrix
-    N on row vectors (the code of v to the code of v·N), so a question about
-    one arrow computes only the composites it reads.
+    is listed when the category is built, once the (max_dim + 1)² hom-sets
+    and then their total count, the sum of p^(n·m) over all pairs of
+    dimensions, are within the budget; no composite is.  The row and the
+    column of an arrow are made by id the first time a decider reads them,
+    from the action of each arrow's matrix N on row vectors (the code of v
+    to the code of v·N), so a question about one arrow computes only the
+    composites it reads.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     dims = range(max_dim + 1)
-    total = sum(p ** (n * m) for n in dims for m in dims)
-    if total > budget:
-        raise EnumerationBudgetExceeded(f"{total} matrices exceed the budget of {budget}")
+    # every hom-set holds at least the zero matrix
+    _require_arrows(len(dims) ** 2, "matrices", budget, "at least ")
+    _require_arrows(sum(p ** (n * m) for n in dims for m in dims), "matrices", budget)
     objects = tuple(map(str, dims))
     names: list[ArrowId] = []
     dom, cod = [], []

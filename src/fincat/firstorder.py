@@ -6,7 +6,7 @@ Contexts are explicit: a formula evaluated in context n may use variables
 v1..vn, and a quantifier occurring there must bind exactly v(n+1).  The
 denotation of a formula is the set of satisfying assignment tuples; while
 it is computed, a set of tuples over A^n is an int mask whose bit i stands
-for the i-th tuple of `all_assignments`.
+for the i-th tuple of `all_assignments`, listed once per context.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Mapping
 
-from .core import DEFAULT_BUDGET
+from .core import DEFAULT_BUDGET, Lazy
 from .errors import ContextMismatch, ContextOverflow, EnumerationBudgetExceeded, UnknownAtom
 from .formulas import And, Atom, Exists, Forall, Formula, Implies, Not, Or
 from .galois import digits, mask_of, select
@@ -103,8 +103,7 @@ def _encode(carrier: Universe, s: AssignmentSet) -> int:
     return mask_of(t in s.tuples for t in all_assignments(carrier, s.context))
 
 
-def _decode(carrier: Universe, context: int, mask: int) -> AssignmentSet:
-    tuples = all_assignments(carrier, context)
+def _decode(context: int, tuples: tuple, mask: int) -> AssignmentSet:
     return AssignmentSet(context, frozenset(select(tuples, mask)))
 
 
@@ -143,7 +142,7 @@ def projection_adjoints(carrier: Universe, context: int, budget: int = DEFAULT_B
     def quantify(s: AssignmentSet, forall: bool) -> AssignmentSet:
         _require_context(s, context + 1)
         image = _image(_encode(carrier, s), len(carrier.elements), size, forall)
-        return _decode(carrier, context, image)
+        return _decode(context, all_assignments(carrier, context), image)
 
     return partial(quantify, forall=False), partial(quantify, forall=True)
 
@@ -218,22 +217,23 @@ def _require_binds_next(var: int, context: int) -> None:
         )
 
 
-def _denote(m: FOStructure, formula: Formula, context: int, budget: int) -> int:
-    """The mask over A^context of the assignments that satisfy ``formula``."""
+def _denote(m: FOStructure, formula: Formula, context: int, budget: int, assignments: Lazy) -> int:
+    """The mask over A^context of the assignments that satisfy ``formula``;
+    ``assignments[n]`` is the `all_assignments` of context n."""
     _require_tuples(m.carrier, context, budget)
     base = len(m.carrier.elements)
     if isinstance(formula, Atom):
         rel = _atom_relation(m, formula, context)
-        tuples = all_assignments(m.carrier, context)
+        tuples = assignments[context]
         picks = [map(itemgetter(i - 1), tuples) for i in formula.args]
         keys = zip(*picks) if picks else [()] * len(tuples)
         return mask_of(map(rel.tuples.__contains__, keys))
     full = (1 << base ** context) - 1
     if isinstance(formula, Not):
-        return full ^ _denote(m, formula.body, context, budget)
+        return full ^ _denote(m, formula.body, context, budget, assignments)
     if isinstance(formula, (And, Or, Implies)):
-        left = _denote(m, formula.left, context, budget)
-        right = _denote(m, formula.right, context, budget)
+        left = _denote(m, formula.left, context, budget, assignments)
+        right = _denote(m, formula.right, context, budget, assignments)
         if isinstance(formula, And):
             return left & right
         if isinstance(formula, Or):
@@ -241,7 +241,7 @@ def _denote(m: FOStructure, formula: Formula, context: int, budget: int) -> int:
         return (full ^ left) | right
     if isinstance(formula, (Forall, Exists)):
         _require_binds_next(formula.var, context)
-        body = _denote(m, formula.body, context + 1, budget)
+        body = _denote(m, formula.body, context + 1, budget, assignments)
         return _image(body, base, base ** context, isinstance(formula, Forall))
     raise UnknownAtom(f"modal operators have no first-order reading: {formula!r}")
 
@@ -257,7 +257,9 @@ def tarski_denotation(
     projection that drops the last coordinate.  Only the answer is decoded
     into tuples.
     """
-    return _decode(m.carrier, context, _denote(m, formula, context, budget))
+    assignments = Lazy(partial(all_assignments, m.carrier))
+    mask = _denote(m, formula, context, budget, assignments)
+    return _decode(context, assignments[context], mask)
 
 
 def verify_generalization_rule(
@@ -274,7 +276,7 @@ def verify_generalization_rule(
     """
     n = gamma.context
     try:
-        body = _denote(m, formula, n + 1, budget)
+        body = _denote(m, formula, n + 1, budget, Lazy(partial(all_assignments, m.carrier)))
     except ContextOverflow as exc:
         raise ContextMismatch(
             f"formula does not fit context {n + 1}: {exc}"

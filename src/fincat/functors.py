@@ -11,7 +11,6 @@ from typing import Iterator, Mapping
 
 from .builders import (
     FinSetCategory,
-    FiniteFunction,
     FiniteMonoid,
     NamedFiniteSet,
     _function_arrow_name,
@@ -190,16 +189,12 @@ def powerset_functor(fs: FinSetCategory, budget: int = DEFAULT_BUDGET) -> Functo
 
     def direct_image_name(f: ArrowId) -> ArrowId:
         fn = fs.function(f)
-        p_dom = power_sets[fn.dom.name]
-        p_cod = power_sets[fn.cod.name]
-        graph = {}
-        for r in range(len(fn.dom.elements) + 1):
-            for combo in itertools.combinations(fn.dom.elements, r):
-                image = frozenset(fn(x) for x in combo)
-                graph[subset_label(frozenset(combo), fn.dom)] = subset_label(
-                    image, fn.cod
-                )
-        return _function_arrow_name(FiniteFunction(p_dom, p_cod, graph))
+        images = [
+            subset_label(frozenset(map(fn, combo)), fn.cod)
+            for r in range(len(fn.dom.elements) + 1)
+            for combo in itertools.combinations(fn.dom.elements, r)
+        ]
+        return _function_arrow_name(power_sets[fn.dom.name], power_sets[fn.cod.name], images)
 
     arrow_map = {f: direct_image_name(f) for f in fs.all_arrows()}
     return Functor(fs, target, object_map, arrow_map)

@@ -12,7 +12,12 @@ code: it multiplies two matrices and renders the product's name, and
 composable pair.  `poset_as_category` and `monoid_as_category` are the
 builders as they were before they built kernel rows, and `law_violation`
 is the monoid law check as it was before `validate` decided it: the unit
-laws, then every triple of elements.  `validate` and `check_functoriality`
+laws, then every triple of elements.  `finset_functions` and
+`finrel_relations` are the FinSet and FinRel element objects as the
+builders made them before they kept only their kernel: one validated
+`FiniteFunction` or `FiniteRelation` per arrow, its name rendered from the
+object; `compose_functions` and `compose_relations` compose two of them
+element by element.  `validate` and `check_functoriality`
 scan every composable pair, which the kernel versions do only once the
 test on a generating set of arrows fails.  It is all slow but
 transparently correct, and the property tests compare the kernel deciders
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 
-from fincat.builders import MatrixOverZp
+from fincat.builders import FiniteFunction, FiniteRelation, MatrixOverZp
 from fincat.core import (
     DEFAULT_BUDGET,
     Arrow,
@@ -500,3 +505,62 @@ def monoid_as_category(M, object_name: str = "*") -> FiniteCategory:
         (g, f): M.mult[(g, f)] for g in M.elements for f in M.elements
     }
     return FiniteCategory((object_name,), arrows, {object_name: M.unit}, composition)
+
+
+def _function_name(fn: FiniteFunction) -> str:
+    body = ",".join(f"{x}:{fn.graph[x]}" for x in fn.dom.elements)
+    return f"{fn.dom.name}->{fn.cod.name}{{{body}}}"
+
+
+def _relation_name(rel: FiniteRelation) -> str:
+    order = {x: i for i, x in enumerate(rel.dom.elements)}
+    corder = {y: i for i, y in enumerate(rel.cod.elements)}
+    pairs = sorted(rel.pairs, key=lambda xy: (order[xy[0]], corder[xy[1]]))
+    body = ",".join(f"({x},{y})" for x, y in pairs)
+    return f"{rel.dom.name}->{rel.cod.name}{{{body}}}"
+
+
+def compose_functions(g: FiniteFunction, f: FiniteFunction) -> FiniteFunction:
+    """The composite "f then g"."""
+    if f.cod != g.dom:
+        raise ValueError("functions are not composable")
+    return FiniteFunction(f.dom, g.cod, {x: g(f(x)) for x in f.dom.elements})
+
+
+def compose_relations(s: FiniteRelation, r: FiniteRelation) -> FiniteRelation:
+    """Relational composite "r then s": pairs (x, z) with some y related both ways."""
+    if r.cod != s.dom:
+        raise ValueError("relations are not composable")
+    mid: dict = {}
+    for y, z in s.pairs:
+        mid.setdefault(y, set()).add(z)
+    pairs = frozenset((x, z) for x, y in r.pairs for z in mid.get(y, ()))
+    return FiniteRelation(r.dom, s.cod, pairs)
+
+
+def finset_functions(sets) -> dict[ArrowId, FiniteFunction]:
+    """Every function between the sets, by name, hom by hom in set order and
+    each hom in the order of its tuples of image positions."""
+    functions = {}
+    for dom in sets:
+        for cod in sets:
+            for images in itertools.product(range(len(cod.elements)), repeat=len(dom.elements)):
+                graph = {x: cod.elements[i] for x, i in zip(dom.elements, images)}
+                fn = FiniteFunction(dom, cod, graph)
+                functions[_function_name(fn)] = fn
+    return functions
+
+
+def finrel_relations(sets) -> dict[ArrowId, FiniteRelation]:
+    """Every relation between the sets, by name, hom by hom in set order and
+    each hom in the order of the mask whose bit i·|Y| + j relates the i-th
+    element of X to the j-th of Y."""
+    relations = {}
+    for dom in sets:
+        for cod in sets:
+            all_pairs = [(x, y) for x in dom.elements for y in cod.elements]
+            for mask in range(2 ** len(all_pairs)):
+                pairs = frozenset(p for i, p in enumerate(all_pairs) if mask >> i & 1)
+                rel = FiniteRelation(dom, cod, pairs)
+                relations[_relation_name(rel)] = rel
+    return relations

@@ -1,14 +1,14 @@
 import pytest
 
+from reference_core import compose_functions, compose_relations
 from fincat.builders import (
+    FiniteFunction,
     FiniteMonoid,
     FiniteRelation,
     NamedFiniteSet,
     build_finrel,
     build_finset,
     build_mat,
-    compose_functions,
-    compose_relations,
     monoid_as_category,
     poset_as_category,
     poset_from_category,
@@ -92,6 +92,18 @@ class TestFinSet:
         with pytest.raises(EnumerationBudgetExceeded):
             build_finset([TWO], budget=3)
 
+    def test_budget_first_counts_the_nonempty_homs(self):
+        # 121 hom-sets, of which the 10 from Dot into an empty set are empty;
+        # the other 111 hold one function each
+        sets = [DOT] + [NamedFiniteSet(f"E{i}", ()) for i in range(10)]
+        assert len(build_finset(sets, budget=111).arrows) == 111
+        with pytest.raises(EnumerationBudgetExceeded, match="^at least 111 functions exceed the budget of 110$"):
+            build_finset(sets, budget=110)
+        with pytest.raises(EnumerationBudgetExceeded, match="^at least 121 relations exceed the budget of 120$"):
+            build_finrel(sets, budget=120)
+        with pytest.raises(EnumerationBudgetExceeded, match="^8 functions exceed the budget of 4$"):
+            build_finset([DOT, TWO], budget=4)
+
 
 class TestFinRel:
     def test_singleton_composition(self):
@@ -124,6 +136,24 @@ class TestFinRel:
     def test_cap(self):
         with pytest.raises(EnumerationBudgetExceeded):
             build_finrel([NamedFiniteSet("Three", ("a", "b", "c"))])
+
+
+def test_builders_make_element_objects_only_on_read(monkeypatch):
+    made = []
+    for cls in (FiniteFunction, FiniteRelation):
+        def counted(self, check=cls.__post_init__):
+            made.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    sets = [NamedFiniteSet("Empty", ()), DOT, TWO]
+    fs, fr = build_finset(sets), build_finrel(sets)
+    assert made == []
+    assert fs.function("Two->Dot{0:*,1:*}").graph == {"0": "*", "1": "*"}
+    assert fr.relation("Two->Dot{(1,*)}").pairs == {("1", "*")}
+    assert made == ["FiniteFunction", "FiniteRelation"]
+    assert len(fs.functions) == len(fs.arrows) and fs.functions is fs.functions
+    assert len(made) == 2 + len(fs.arrows)
 
 
 class TestPosetAsCategory:

@@ -95,6 +95,22 @@ class TestExitCodes:
         assert out.startswith(f"error: {path}{where}: field {field!r}: ")
         assert out.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"builder": "mat", "p": 2, "max_dim": 3000},
+             "at least 9006001 matrices exceed the budget of 100000"),
+            ({"builder": "finset", "sets": [{"name": f"S{i}", "elements": ["x"]} for i in range(20000)]},
+             "at least 400000000 functions exceed the budget of 100000"),
+        ],
+        ids=["mat", "finset"],
+    )
+    def test_builder_files_past_the_budget_are_refused_before_the_sum(self, tmp_path, doc, message):
+        # the exact totals, sums over 9e6 and 4e8 hom-sets, are never formed
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert invoke("validate", path) == (2, f"error: {message}\n")
+
     def test_unreadable_files_are_errors(self, tmp_path):
         not_utf8 = tmp_path / "not_utf8.json"
         not_utf8.write_bytes(b"\xff{}")

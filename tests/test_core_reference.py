@@ -4,8 +4,10 @@ three sets of at most two elements -- and on broken copies of them:
 rebound composites (mistyped ones, and ones that repeat an id in a row or a
 column, included), deleted entries, dangling ids and entries for
 non-composable pairs.  The matrix categories are compared with
-`ReferenceMat`, which multiplies and renders every composite, and the
-row-backed compose tables of the builders with plain dicts."""
+`ReferenceMat`, which multiplies and renders every composite, the
+row-backed compose tables of the builders with plain dicts, and the
+functions and relations that FinSet and FinRel decode on read with the
+ones the eager reference builds."""
 
 import json
 
@@ -507,6 +509,34 @@ def test_mat_rejects_names_that_are_not_canonical(name):
     for predicate in PREDICATES:
         with pytest.raises(UnknownArrow):
             getattr(core, predicate)(view, name)
+
+
+@SETTINGS
+@given(named_sets())
+def test_finset_functions_match_the_eager_reference(sets):
+    fs, want = build_finset(sets), ref.finset_functions(sets)
+    assert list(fs.all_arrows()) == list(want)
+    for f, fn in want.items():
+        assert fs.function(f) == fn
+    assert fs.functions == want and list(fs.functions) == list(want)
+    with pytest.raises(UnknownArrow, match="unknown arrow 'ghost'"):
+        fs.function("ghost")
+    with pytest.raises(KeyError):
+        fs.functions["ghost"]
+
+
+@SETTINGS
+@given(named_sets())
+def test_finrel_relations_match_the_eager_reference(sets):
+    fr, want = build_finrel(sets), ref.finrel_relations(sets)
+    assert list(fr.all_arrows()) == list(want)
+    for f, rel in want.items():
+        assert fr.relation(f) == rel
+    assert fr.relations == want and list(fr.relations) == list(want)
+    with pytest.raises(UnknownArrow, match="unknown arrow 'ghost'"):
+        fr.relation("ghost")
+    with pytest.raises(KeyError):
+        fr.relations["ghost"]
 
 
 @st.composite
