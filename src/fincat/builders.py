@@ -5,8 +5,8 @@ a thin category, a monoid as a one-object category, and matrices over a
 prime field, whose composites are made by id as the deciders read them.
 Arrow names are canonical and deterministic (graphs serialized in element
 order) so fixtures reproduce byte for byte.  These categories keep only
-their kernel: a function, relation or matrix is made on read, decoded from
-the offset of its arrow in its hom-set.
+their kernel; a function or relation, kept as its rows of target masks, or
+a matrix is made on read from the offset of its arrow in its hom-set.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .galois import FinitePoset, bits, select
 
 @dataclass(frozen=True)
 class NamedFiniteSet:
-    """A finite set of distinct labels under a name."""
+    """A finite set of distinct labels under a name.  ``positions``, each
+    element's index, is derived and not a field: equality ignores it."""
 
     name: str
     elements: tuple[Hashable, ...]
@@ -40,14 +41,17 @@ class NamedFiniteSet:
     def __post_init__(self):
         if not self.name:
             raise ValueError("set name must be nonempty")
-        if len(set(self.elements)) != len(self.elements):
+        vars(self)["positions"] = {x: i for i, x in enumerate(self.elements)}
+        if len(self.positions) != len(self.elements):
             raise ValueError(f"set {self.name!r} has duplicate elements")
 
     def __contains__(self, x) -> bool:
-        return x in set(self.elements)
+        return x in self.positions
 
     def index(self, x) -> int:
-        return self.elements.index(x)
+        if x not in self.positions:
+            raise ValueError(f"{x!r} is not in set {self.name!r}")
+        return self.positions[x]
 
 
 def subset_label(subset: frozenset, universe: NamedFiniteSet) -> str:
@@ -56,57 +60,72 @@ def subset_label(subset: frozenset, universe: NamedFiniteSet) -> str:
     return "{" + ",".join(members) + "}"
 
 
-@dataclass(frozen=True)
-class FiniteFunction:
-    """A total function between named finite sets, given by its graph."""
+@dataclass(frozen=True, init=False)
+class FiniteRelation:
+    """A relation between named finite sets, given by its (source, target) pairs;
+    ``rows[i]`` is the mask of the ``cod`` elements related to ``dom.elements[i]``."""
 
     dom: NamedFiniteSet
     cod: NamedFiniteSet
-    graph: Mapping[Hashable, Hashable]
+    rows: tuple[int, ...]
 
-    def __post_init__(self):
-        cod_set = set(self.cod.elements)
-        for x in self.dom.elements:
-            if x not in self.graph:
-                raise ValueError(f"function undefined on {x!r}")
-            if self.graph[x] not in cod_set:
-                raise ValueError(f"function sends {x!r} outside {self.cod.name!r}")
-        for extra in set(self.graph) - set(self.dom.elements):
-            raise ValueError(f"function defined on unknown element {extra!r}")
-
-    def __call__(self, x):
-        return self.graph[x]
-
-    def is_injective(self) -> bool:
-        images = [self.graph[x] for x in self.dom.elements]
-        return len(set(images)) == len(images)
-
-    def is_surjective(self) -> bool:
-        return set(self.graph[x] for x in self.dom.elements) == set(self.cod.elements)
+    def __init__(self, dom: NamedFiniteSet, cod: NamedFiniteSet, pairs: Iterable[tuple]):
+        rows, at, to = [0] * len(dom.elements), dom.positions, cod.positions
+        try:
+            for x, y in pairs:
+                rows[at[x]] |= 1 << to[y]
+        except KeyError:
+            raise ValueError(f"pair ({x!r}, {y!r}) falls outside the universes") from None
+        vars(self).update(dom=dom, cod=cod, rows=tuple(rows))
 
     @classmethod
-    def identity(cls, s: NamedFiniteSet) -> "FiniteFunction":
-        return cls(s, s, {x: x for x in s.elements})
+    def _from_rows(cls, dom: NamedFiniteSet, cod: NamedFiniteSet, rows: tuple[int, ...]):
+        arrow = cls.__new__(cls)
+        vars(arrow).update(dom=dom, cod=cod, rows=rows)
+        return arrow
 
-
-@dataclass(frozen=True)
-class FiniteRelation:
-    """A relation between named finite sets: a set of (source, target) pairs."""
-
-    dom: NamedFiniteSet
-    cod: NamedFiniteSet
-    pairs: frozenset
-
-    def __post_init__(self):
-        dom_set = set(self.dom.elements)
-        cod_set = set(self.cod.elements)
-        for x, y in self.pairs:
-            if x not in dom_set or y not in cod_set:
-                raise ValueError(f"pair ({x!r}, {y!r}) falls outside the universes")
+    @property
+    def pairs(self) -> frozenset:
+        """The related pairs, made from the rows on each read."""
+        targets = self.cod.elements
+        return frozenset((x, y) for x, row in zip(self.dom.elements, self.rows) for y in select(targets, row))
 
     @classmethod
     def diagonal(cls, s: NamedFiniteSet) -> "FiniteRelation":
-        return cls(s, s, frozenset((x, x) for x in s.elements))
+        return cls._from_rows(s, s, tuple(1 << i for i in range(len(s.elements))))
+
+
+@dataclass(frozen=True, init=False)
+class FiniteFunction(FiniteRelation):
+    """A total function between named finite sets: a relation with one-bit rows."""
+
+    def __init__(self, dom: NamedFiniteSet, cod: NamedFiniteSet, graph: Mapping[Hashable, Hashable]):
+        at = cod.positions
+        for x in dom.elements:
+            if x not in graph:
+                raise ValueError(f"function undefined on {x!r}")
+            if graph[x] not in at:
+                raise ValueError(f"function sends {x!r} outside {cod.name!r}")
+        for extra in (x for x in graph if x not in dom.positions):
+            raise ValueError(f"function defined on unknown element {extra!r}")
+        vars(self).update(dom=dom, cod=cod, rows=tuple([1 << at[graph[x]] for x in dom.elements]))
+
+    @property
+    def graph(self) -> dict[Hashable, Hashable]:
+        """The function by name, in domain element order, made on each read."""
+        return {x: self.cod.elements[row.bit_length() - 1] for x, row in zip(self.dom.elements, self.rows)}
+
+    def __call__(self, x):
+        return self.cod.elements[self.rows[self.dom.positions[x]].bit_length() - 1]
+
+    def is_injective(self) -> bool:
+        return len(set(self.rows)) == len(self.rows)
+
+    def is_surjective(self) -> bool:
+        return len(set(self.rows)) == len(self.cod.elements)
+
+    #: The identity on a set, its diagonal read as a function.
+    identity = classmethod(FiniteRelation.diagonal.__func__)
 
 
 @dataclass(frozen=True)
@@ -213,7 +232,7 @@ class FinSetCategory(FiniteCategory):
         a, b, code = _hom_code(self, f)
         X, Y = self.sets[self.objects[a]], self.sets[self.objects[b]]
         images = _digits(code, len(Y.elements), len(X.elements))
-        return FiniteFunction(X, Y, {x: Y.elements[j] for x, j in zip(X.elements, images)})
+        return FiniteFunction._from_rows(X, Y, tuple([1 << j for j in images]))
 
     @cached_property
     def functions(self) -> dict[ArrowId, FiniteFunction]:
@@ -231,9 +250,7 @@ class FinRelCategory(FiniteCategory):
         """The relation an arrow name renders."""
         a, b, code = _hom_code(self, f)
         X, Y = self.sets[self.objects[a]], self.sets[self.objects[b]]
-        rows = reversed(_digits(code, 1 << len(Y.elements), len(X.elements)))
-        pairs = ((x, y) for x, row in zip(X.elements, rows) for y in select(Y.elements, row))
-        return FiniteRelation(X, Y, frozenset(pairs))
+        return FiniteRelation._from_rows(X, Y, _digits(code, 1 << len(Y.elements), len(X.elements))[::-1])
 
     @cached_property
     def relations(self) -> dict[ArrowId, FiniteRelation]:
@@ -305,9 +322,14 @@ def _all_arrows(
 
 
 def _require_arrows(total: int, kind: str, budget: int, bound: str = "") -> None:
-    """Raise unless ``total`` arrows fit, ``bound`` naming a lower bound."""
+    """Raise unless ``total`` items of a kind fit, ``bound`` naming a lower
+    bound; a total too long to print is named by the power of 2 below it."""
     if total > budget:
-        raise EnumerationBudgetExceeded(f"{bound}{total} {kind} exceed the budget of {budget}")
+        try:
+            count = f"{bound}{total}"
+        except ValueError:  # past the int -> str digit limit
+            count = f"at least 2^{total.bit_length() - 1}"
+        raise EnumerationBudgetExceeded(f"{count} {kind} exceed the budget of {budget}")
 
 
 def build_finset(
@@ -430,8 +452,14 @@ def monoid_as_category(M: FiniteMonoid, object_name: str = "*") -> FiniteCategor
     return C
 
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+def _require_prime(p: int, budget: int) -> None:
+    """Raise unless ``p`` is prime, by trial division; the isqrt(p) - 1
+    divisions of a prime are charged to the budget, and a composite is
+    refused as soon as the first ``budget`` of them find a divisor."""
+    divisors = range(2, math.isqrt(p) + 1) if p > 1 else None
+    if divisors is None or not all(p % d for d in divisors[:budget]):
+        raise ValueError(f"{p} is not prime")
+    _require_arrows(len(divisors), "trial divisions of p", budget)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,20 +493,20 @@ def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory
     product M·N, whose i-th row is the i-th row of M times N.  Every arrow
     is listed when the category is built, once the (max_dim + 1)² hom-sets
     and then their total count, the sum of p^(n·m) over all pairs of
-    dimensions, are within the budget; no composite is.  The row and the
+    dimensions, are within the budget, and p is found prime by trial
+    divisions that fit it too; no composite is.  The row and the
     column of an arrow are made by id the first time a decider reads them,
     from the action of each arrow's matrix N on row vectors (the code of v
     to the code of v·N), so a question about one arrow computes only the
     composites it reads.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     dims = range(max_dim + 1)
     # every hom-set holds at least the zero matrix
     _require_arrows(len(dims) ** 2, "matrices", budget, "at least ")
     _require_arrows(sum(p ** (n * m) for n in dims for m in dims), "matrices", budget)
+    _require_prime(p, budget)
     objects = tuple(map(str, dims))
     names: list[ArrowId] = []
     dom, cod = [], []

@@ -45,7 +45,7 @@ class FOStructure:
     relations: Mapping[str, FORelation]
 
     def __post_init__(self):
-        carrier = set(self.carrier.elements)
+        carrier = self.carrier.positions
         for name, rel in self.relations.items():
             for t in rel.tuples:
                 for entry in t:

@@ -103,6 +103,8 @@ def read_json(path: str | Path) -> Any:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             source=str(path),
         ) from exc
+    except ValueError as exc:  # an integer literal past the int -> str digit limit
+        raise ParseError("invalid JSON: an integer literal has too many digits", source=str(path)) from exc
 
 
 # -- categories ---------------------------------------------------------
@@ -330,7 +332,7 @@ def parse_frame(doc: Any, where: str = "frame") -> KripkeFrame:
     if not isinstance(doc["valuation"], dict):
         raise ParseError("expected an object", source=where, field="valuation")
     try:
-        access = FiniteRelation(worlds, worlds, frozenset(pairs))
+        access = FiniteRelation(worlds, worlds, pairs)
         valuation = {
             atom: SubsetOf.of(worlds, _string_list(val, where, f"valuation.{atom}"))
             for atom, val in doc["valuation"].items()
@@ -341,15 +343,10 @@ def parse_frame(doc: Any, where: str = "frame") -> KripkeFrame:
 
 
 def dump_frame(frame: KripkeFrame) -> dict:
-    order = {x: i for i, x in enumerate(frame.worlds.elements)}
+    worlds = frame.worlds.elements
     return {
-        "worlds": list(frame.worlds.elements),
-        "access": [
-            [x, y]
-            for x, y in sorted(
-                frame.access.pairs, key=lambda xy: (order[xy[0]], order[xy[1]])
-            )
-        ],
+        "worlds": list(worlds),
+        "access": [[x, worlds[j]] for x, row in zip(worlds, frame.access.rows) for j in bits(row)],
         "valuation": {
             atom: list(value.sorted_members())
             for atom, value in sorted(frame.valuation.items())

@@ -174,9 +174,9 @@ def powerset_of(s: NamedFiniteSet) -> NamedFiniteSet:
 def powerset_functor(fs: FinSetCategory, budget: int = DEFAULT_BUDGET) -> Functor:
     """The covariant powerset functor on a category of finite sets.
 
-    Objects go to their powersets, an arrow to its direct-image function
-    S |-> { f(x) | x in S }.  The target category is synthesized from the
-    canonical powerset sets, so the construction is reproducible.
+    Objects go to their powersets, an arrow f to its direct image, read off
+    its rows, S |-> { f(x) | x in S }.  The target category is synthesized
+    from the canonical powerset sets, so the construction is reproducible.
     """
     source_sets = [fs.sets[name] for name in fs.objects]
     power_sets = {s.name: powerset_of(s) for s in source_sets}
@@ -190,9 +190,9 @@ def powerset_functor(fs: FinSetCategory, budget: int = DEFAULT_BUDGET) -> Functo
     def direct_image_name(f: ArrowId) -> ArrowId:
         fn = fs.function(f)
         images = [
-            subset_label(frozenset(map(fn, combo)), fn.cod)
-            for r in range(len(fn.dom.elements) + 1)
-            for combo in itertools.combinations(fn.dom.elements, r)
+            subset_label(frozenset(fn.cod.elements[row.bit_length() - 1] for row in combo), fn.cod)
+            for r in range(len(fn.rows) + 1)
+            for combo in itertools.combinations(fn.rows, r)
         ]
         return _function_arrow_name(power_sets[fn.dom.name], power_sets[fn.cod.name], images)
 

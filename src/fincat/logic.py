@@ -5,11 +5,11 @@ operator [R] alias weakest precondition with its left adjoint, Boolean and
 Heyting implication, and the exhaustive verifiers for each adjunction
 equivalence.  A subset of a named universe is an int mask, bit i standing for
 ``universe.elements[i]``; every check runs over ALL subset pairs or triples.
-A function or relation is read as its rows, the successor mask of each
-source.  Each operator is one int body, ``_post``, ``_box``, ``_universal``
-or ``_implies``, shared by the public function and the checkers, which
-compute each operator once per mask.  ``down_sets`` adds a poset's elements
-one at a time, below before above, in O(n·#down-sets).
+A function or relation is read as the rows it is stored as, the successor
+mask of each source.  Each operator is one int body, ``_post``, ``_box``,
+``_universal`` or ``_implies``, shared by the public function and the
+checkers, which compute each operator once per mask.  ``down_sets`` adds a
+poset's elements one at a time, below before above, in O(n·#down-sets).
 """
 
 from __future__ import annotations
@@ -25,18 +25,6 @@ from .galois import FinitePoset, bits
 #: Universes are named finite sets; the alias keeps the logic-level name.
 Universe = NamedFiniteSet
 _MIXED = "subsets of {!r} and {!r} combined"
-
-
-def _rows(arrow) -> tuple[int, ...]:
-    """Each domain element's successor mask, kept on the function or relation as a
-    FiniteCategory keeps its kernel: its graph or pairs must not change afterwards."""
-    if "_rows" not in arrow.__dict__:
-        target = {y: i for i, y in enumerate(arrow.cod.elements)}
-        rows = dict.fromkeys(arrow.dom.elements, 0)
-        for x, y in arrow.graph.items() if isinstance(arrow, FiniteFunction) else arrow.pairs:
-            rows[x] |= 1 << target[y]
-        object.__setattr__(arrow, "_rows", tuple(rows.values()))
-    return arrow.__dict__["_rows"]
 
 
 def _full(universe: Universe) -> int:
@@ -57,7 +45,7 @@ class SubsetOf:
     mask: int
 
     def __init__(self, universe: Universe, members):
-        at, members = {x: i for i, x in enumerate(universe.elements)}, set(members)
+        at, members = universe.positions, set(members)
         if stray := members - at.keys():
             raise UniverseMismatch(
                 f"members {sorted(map(str, stray))!r} are not in universe {universe.name!r}"
@@ -141,19 +129,19 @@ def _implies(full: int, y: int, z: int) -> int:
 def direct_image(f: FiniteFunction, s: SubsetOf) -> SubsetOf:
     """{ y | some x in s has f(x) = y } -- the left adjoint of inverse image."""
     _require_over(s, f.dom, "subset is not over the function's domain")
-    return _subset(f.cod, _post(_rows(f), s.mask))
+    return _subset(f.cod, _post(f.rows, s.mask))
 
 
 def inverse_image(f: FiniteFunction, t: SubsetOf) -> SubsetOf:
     """{ x | f(x) in t }: box along the graph, whose rows are single bits."""
     _require_over(t, f.cod, "subset is not over the function's codomain")
-    return _subset(f.dom, _box(_rows(f), t.mask))
+    return _subset(f.dom, _box(f.rows, t.mask))
 
 
 def universal_image(f: FiniteFunction, s: SubsetOf) -> SubsetOf:
     """{ y | every x with f(x) = y lies in s } -- the right adjoint of inverse image."""
     _require_over(s, f.dom, "subset is not over the function's domain")
-    return _subset(f.cod, _universal(_rows(f), s.mask, _full(f.cod)))
+    return _subset(f.cod, _universal(f.rows, s.mask, _full(f.cod)))
 
 
 def _require_cap(cap: int, *universes: Universe) -> None:
@@ -177,7 +165,7 @@ def _at(arrow, s: int, t: int) -> str:
 def check_quantifier_adjunctions(f: FiniteFunction, cap: int = 4) -> CheckReport:
     """Verify ∃f ⊣ f⁻¹ ⊣ ∀f over ALL subset pairs of the function's universes."""
     _require_cap(cap, f.dom, f.cod)
-    rows, cod_full = _rows(f), _full(f.cod)
+    rows, cod_full = f.rows, _full(f.cod)
     dom_masks, cod_masks = range(1 << len(f.dom.elements)), range(cod_full + 1)
     direct = [_post(rows, s) for s in dom_masks]
     universal = [_universal(rows, s, cod_full) for s in dom_masks]
@@ -196,7 +184,7 @@ def box(r: FiniteRelation, t: SubsetOf) -> SubsetOf:
     """[R]T: sources all of whose R-successors land in T, the weakest
     precondition of T under R and the right adjoint of post-image."""
     _require_over(t, r.cod, "target set is not over the relation's codomain")
-    return _subset(r.dom, _box(_rows(r), t.mask))
+    return _subset(r.dom, _box(r.rows, t.mask))
 
 
 #: Program-logic name for the same operator.
@@ -206,16 +194,15 @@ wp = box
 def relation_post_image(r: FiniteRelation, s: SubsetOf) -> SubsetOf:
     """{ y | some x in s is related to y } -- the left adjoint of box."""
     _require_over(s, r.dom, "subset is not over the relation's domain")
-    return _subset(r.cod, _post(_rows(r), s.mask))
+    return _subset(r.cod, _post(r.rows, s.mask))
 
 
 def check_box_adjunction(r: FiniteRelation, cap: int = 4) -> CheckReport:
     """Verify post-image ⊣ box over ALL subset pairs."""
     _require_cap(cap, r.dom, r.cod)
-    rows = _rows(r)
     dom_masks, cod_masks = range(1 << len(r.dom.elements)), range(1 << len(r.cod.elements))
-    post = [_post(rows, s) for s in dom_masks]
-    boxed = [_box(rows, t) for t in cod_masks]
+    post = [_post(r.rows, s) for s in dom_masks]
+    boxed = [_box(r.rows, t) for t in cod_masks]
     witnesses: list[str] = []
     for s in dom_masks:
         for t in cod_masks:

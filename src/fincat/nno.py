@@ -76,13 +76,12 @@ class RecursionData:
     step: Mapping[str, str]
 
     def __post_init__(self):
-        elems = set(self.carrier.elements)
-        if self.start not in elems:
+        if self.start not in self.carrier:
             raise ValueError(f"start element {self.start!r} is not in the carrier")
         for x in self.carrier.elements:
             if x not in self.step:
                 raise ValueError(f"step undefined on {x!r}")
-            if self.step[x] not in elems:
+            if self.step[x] not in self.carrier:
                 raise ValueError(f"step leaves the carrier at {x!r}")
 
 

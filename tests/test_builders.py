@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from reference_core import compose_functions, compose_relations
@@ -105,6 +107,51 @@ class TestFinSet:
             build_finset([DOT, TWO], budget=4)
 
 
+class TestRows:
+    def test_functions_and_relations_keep_only_their_rows(self):
+        f = FiniteFunction(TWO, TWO, {"0": "1", "1": "1"})
+        r = FiniteRelation(TWO, DOT, [("1", "*")])
+        assert [field.name for field in fields(f)] == [field.name for field in fields(r)] == ["dom", "cod", "rows"]
+        assert (f.rows, r.rows) == ((0b10, 0b10), (0, 1))
+        assert (f("0"), f.graph, r.pairs) == ("1", {"0": "1", "1": "1"}, {("1", "*")})
+        assert not f.is_injective() and not f.is_surjective()
+        assert FiniteFunction.identity(TWO).graph == {"0": "0", "1": "1"}
+        assert FiniteRelation.diagonal(TWO).pairs == {("0", "0"), ("1", "1")}
+        # a function is a relation with one-bit rows, but never equal to one
+        assert FiniteFunction.identity(TWO).rows == FiniteRelation.diagonal(TWO).rows
+        assert FiniteFunction.identity(TWO) != FiniteRelation.diagonal(TWO)
+
+    def test_constructor_messages(self):
+        for graph, message in (
+            ({"0": "*"}, "function undefined on '1'"),
+            ({"0": "*", "1": "x"}, "function sends '1' outside 'Dot'"),
+            ({"0": "*", "1": "*", "2": "*"}, "function defined on unknown element '2'"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                FiniteFunction(TWO, DOT, graph)
+        with pytest.raises(ValueError, match=r"^pair \('1', 'x'\) falls outside the universes$"):
+            FiniteRelation(TWO, DOT, [("1", "*"), ("1", "x")])
+
+    def test_equal_functions_and_relations_hash_alike(self):
+        fs, fr = build_finset([DOT, TWO]), build_finrel([DOT, TWO])
+        f, g = fs.function("Two->Dot{0:*,1:*}"), FiniteFunction(TWO, DOT, {"1": "*", "0": "*"})
+        assert f == g and hash(f) == hash(g) == hash(fs.function("Two->Dot{0:*,1:*}"))
+        assert len({fs.function(name) for name in fs.all_arrows()}) == len(fs.arrows)
+        r = fr.relation("Two->Two{(0,1),(1,1)}")
+        assert r == FiniteRelation(TWO, TWO, [("1", "1"), ("0", "1")])
+        assert hash(r) == hash(FiniteRelation(TWO, TWO, {("0", "1"), ("1", "1")}))
+        assert len({fr.relation(name) for name in fr.all_arrows()}) == len(fr.arrows)
+
+    def test_named_sets_look_elements_up_by_position(self):
+        s = NamedFiniteSet("S", ("a", "b"))
+        assert s.positions == {"a": 0, "b": 1} and s.index("b") == 1
+        assert "a" in s and "c" not in s
+        with pytest.raises(ValueError):
+            s.index("c")
+        assert s == NamedFiniteSet("S", ("a", "b")) and hash(s) == hash(NamedFiniteSet("S", ("a", "b")))
+        assert "positions" not in [field.name for field in fields(s)]
+
+
 class TestFinRel:
     def test_singleton_composition(self):
         X = NamedFiniteSet("X", ("x",))
@@ -139,13 +186,19 @@ class TestFinRel:
 
 
 def test_builders_make_element_objects_only_on_read(monkeypatch):
+    # count every construction, through the public constructor or from rows
     made = []
     for cls in (FiniteFunction, FiniteRelation):
-        def counted(self, check=cls.__post_init__):
+        def init(self, *args, make=cls.__init__):
             made.append(type(self).__name__)
-            check(self)
+            make(self, *args)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        def from_rows(cls, *args, make=cls._from_rows.__func__):
+            made.append(cls.__name__)
+            return make(cls, *args)
+
+        monkeypatch.setattr(cls, "__init__", init)
+        monkeypatch.setattr(cls, "_from_rows", classmethod(from_rows))
     sets = [NamedFiniteSet("Empty", ()), DOT, TWO]
     fs, fr = build_finset(sets), build_finrel(sets)
     assert made == []
@@ -249,6 +302,19 @@ class TestMat:
     def test_prime_required(self):
         with pytest.raises(ValueError):
             build_mat(4, 1)
+        for p in (-7, 0, 1, 2**61):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                build_mat(p, 0)
+
+    def test_trial_division_is_charged_to_the_budget(self):
+        # isqrt(p) - 1 = 1,518,500,248 divisions prove 2^61 - 1 prime
+        with pytest.raises(
+            EnumerationBudgetExceeded, match="^1518500248 trial divisions of p exceed the budget of 100000$"
+        ):
+            build_mat(2**61 - 1, 0)
+        assert build_mat(10007, 0, budget=99).hom("0", "0") == ("0x0[]",)
+        with pytest.raises(EnumerationBudgetExceeded, match="^99 trial divisions of p exceed the budget of 98$"):
+            build_mat(10007, 0, budget=98)
 
     def test_budget(self):
         with pytest.raises(EnumerationBudgetExceeded):

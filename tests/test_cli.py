@@ -111,6 +111,52 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert invoke("validate", path) == (2, f"error: {message}\n")
 
+    def test_a_total_too_long_to_print_is_refused_as_a_power_of_two(self, tmp_path):
+        path = tmp_path / "m150.json"
+        path.write_text(json.dumps({"builder": "mat", "p": 2, "max_dim": 150}))
+        total = sum(2 ** (n * m) for n in range(151) for m in range(151))
+        # 2^22500 <= total < 2^22501, past the int -> str limit where there is one
+        count = "at least 2^22500" if hasattr(sys, "get_int_max_str_digits") else str(total)
+        assert invoke("validate", path) == (2, f"error: {count} matrices exceed the budget of 100000\n")
+
+    @pytest.mark.parametrize(
+        "max_dim, message",
+        [(1, "2305843009213693954 matrices exceed the budget of 100000"),
+         (0, "1518500248 trial divisions of p exceed the budget of 100000")],
+    )
+    def test_a_huge_prime_is_refused_within_the_budget(self, tmp_path, max_dim, message):
+        # proving 2^61 - 1 prime by trial division takes 1.5e9 divisions
+        path = tmp_path / "prime.json"
+        path.write_text(json.dumps({"builder": "mat", "p": 2**61 - 1, "max_dim": max_dim}))
+        src = str(Path(__file__).parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fincat.cli", "validate", str(path)], capture_output=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=10, check=False,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, f"error: {message}\n".encode(), b"")
+
+    @pytest.mark.parametrize(
+        "verb, text, extra",
+        [("validate", '{"builder": "mat", "p": ' + "1" * 5000 + ', "max_dim": 1}', ()),
+         ("fo-eval", '{"carrier": ["a"], "relations": {"E": {"arity": ' + "2" * 4400 + ', "tuples": []}}}',
+          ("--formula", "E(v1,v2)", "--context", "2"))],
+        ids=["mat-p", "structure-arity"],
+    )
+    def test_integer_literals_past_the_digit_limit_are_parse_errors(self, tmp_path, verb, text, extra):
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        code, out = invoke(verb, path, *extra)
+        assert code == 2 and out.startswith("error: ") and out.count("\n") == 1
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert out == f"error: {path}: invalid JSON: an integer literal has too many digits\n"
+
+    def test_invalid_json_names_the_line_and_column(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"builder": "mat",\n "p": 2,, "max_dim": 1}')
+        assert invoke("validate", path) == (
+            2, f"error: {path}: invalid JSON at line 2, column 9: Expecting property name enclosed in double quotes\n"
+        )
+
     def test_unreadable_files_are_errors(self, tmp_path):
         not_utf8 = tmp_path / "not_utf8.json"
         not_utf8.write_bytes(b"\xff{}")

@@ -85,6 +85,30 @@ class TestImages:
         with pytest.raises(UniverseMismatch):
             direct_image(constant(), SubsetOf.full(ZERO))
 
+    def test_changing_the_graph_dict_afterwards_changes_no_answer(self):
+        X, Y = NamedFiniteSet("X", ("a", "b")), NamedFiniteSet("Y", ("0", "1"))
+        graph = {"a": "0", "b": "0"}
+        f = FiniteFunction(X, Y, graph)
+        a = SubsetOf.of(X, ["a"])
+        assert direct_image(f, a).members == {"0"}
+        graph["a"] = "1"
+        g = FiniteFunction(X, Y, {"a": "1", "b": "0"})
+        assert f != g and f.graph == {"a": "0", "b": "0"}
+        assert direct_image(f, a).members == {"0"}
+        assert direct_image(g, a).members == {"1"}
+        same = FiniteFunction(X, Y, {"b": "0", "a": "0"})
+        for subset in subsets(X):
+            assert direct_image(f, subset) == direct_image(same, subset)
+            assert universal_image(f, subset) == universal_image(same, subset)
+        for subset in subsets(Y):
+            assert inverse_image(f, subset) == inverse_image(same, subset)
+        pairs = {("a", "0")}
+        r = FiniteRelation(X, Y, pairs)
+        assert box(r, SubsetOf.empty(Y)).members == {"b"}
+        pairs.add(("b", "1"))
+        assert box(r, SubsetOf.empty(Y)).members == {"b"}
+        assert r.pairs == {("a", "0")}
+
 
 class TestQuantifierAdjunctions:
     @pytest.mark.parametrize(

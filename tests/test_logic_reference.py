@@ -73,6 +73,14 @@ def test_box_and_post_image_agree(r, data):
     same(logic.relation_post_image(r, S), ref.relation_post_image(r, RS))
 
 
+@given(functions(), relations())
+def test_functions_and_relations_round_trip_through_graph_and_pairs(f, r):
+    assert FiniteFunction(f.dom, f.cod, f.graph) == f
+    assert FiniteRelation(r.dom, r.cod, r.pairs) == r
+    assert hash(FiniteFunction(f.dom, f.cod, dict(reversed(f.graph.items())))) == hash(f)
+    assert hash(FiniteRelation(r.dom, r.cod, sorted(r.pairs))) == hash(r)
+
+
 @given(universes("U"), st.data())
 def test_boolean_operations_agree(U, data):
     (X, RX), (Y, RY) = both(U, data.draw(members_of(U))), both(U, data.draw(members_of(U)))
