@@ -21,10 +21,10 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from . import core, demos, formats, functors, galois, logic, nno, universal
+# Every verb but ``demo`` reads a file, and the parser's defaults read
+# ``core``; each handler imports the other modules its verb needs when it runs.
+from . import core, formats
 from .errors import FincatError, ParseError
-from .firstorder import tarski_denotation
-from .formulas import parse_formula
 
 
 @dataclass
@@ -112,6 +112,8 @@ def _cert_payload(cert) -> dict:
 
 
 def _products(args):
+    from . import universal
+
     category = _category(args)
     a, b = args.pair
     certificates = universal.find_products(category, a, b)
@@ -135,6 +137,8 @@ def _products(args):
 
 
 def _terminal(args):
+    from . import universal
+
     category = _category(args)
     terminals = universal.find_terminals(category)
     isos = []
@@ -152,6 +156,8 @@ def _terminal(args):
 
 
 def _functor_check(args):
+    from . import functors
+
     functor = formats.load_functor(args.file)
     outcome = functors.check_functoriality(functor)
     preserved = functors.check_iso_preservation(functor, args.budget) if outcome.ok else None
@@ -165,6 +171,8 @@ def _functor_check(args):
 
 
 def _adjoints(args):
+    from . import galois
+
     gmap = formats.load_monotone_map(args.file)
     witnesses: list[str] = []
     left_graph = right_graph = None
@@ -199,6 +207,8 @@ def _adjoints(args):
 
 
 def _wp(args):
+    from . import logic
+
     frame = formats.load_frame(args.file)
     target = frame.atom_set(args.target)
     precondition = logic.wp(frame.access, target)
@@ -219,6 +229,9 @@ def _wp(args):
 
 
 def _modal_eval(args):
+    from . import logic
+    from .formulas import parse_formula
+
     frame = formats.load_frame(args.file)
     value = logic.eval_modal(frame, parse_formula(args.formula))
     payload = {"formula": args.formula, "worlds": list(value.sorted_members())}
@@ -226,6 +239,9 @@ def _modal_eval(args):
 
 
 def _fo_eval(args):
+    from .firstorder import tarski_denotation
+    from .formulas import parse_formula
+
     _require_nonnegative("--context", args.context)
     structure = formats.load_structure(args.file)
     formula = parse_formula(args.formula)
@@ -239,6 +255,8 @@ def _fo_eval(args):
 
 
 def _nno_demo(args):
+    from . import nno
+
     _require_nonnegative("--n", args.n)
     data = formats.load_recursion_data(args.file)
     steps = itertools.accumulate(range(args.n), lambda x, _: data.step[x], initial=data.start)
@@ -262,6 +280,8 @@ def _builders(args):
 
 
 def _demo(args):
+    from . import demos
+
     lines = demos.run_demo(args.name)
     return True, {"name": args.name, "lines": lines}, [], lines
 

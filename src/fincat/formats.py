@@ -4,31 +4,27 @@ dumpers that round-trip to equal in-memory values.
 Every loader rejects unknown fields.  Where a format embeds another document
 (functor sources, monotone-map posets) a string is read as a path relative
 to the embedding file and an object is read inline.
+
+Each parser imports the module of the value it builds when it runs, so
+reading a category file loads ``core`` alone and never the logic modules.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .builders import (
-    FiniteMonoid,
-    FiniteRelation,
-    NamedFiniteSet,
-    build_finrel,
-    build_finset,
-    build_mat,
-    monoid_as_category,
-    poset_as_category,
-)
-from .core import Arrow, FiniteCategory
 from .errors import FincatError, InvalidPoset, ParseError
-from .firstorder import FORelation, FOStructure
-from .functors import Functor
-from .galois import FinitePoset, MonotoneMap, bits
-from .logic import KripkeFrame, SubsetOf
-from .nno import RecursionData
+
+if TYPE_CHECKING:
+    from .builders import NamedFiniteSet
+    from .core import FiniteCategory
+    from .firstorder import FOStructure
+    from .functors import Functor
+    from .galois import FinitePoset, MonotoneMap
+    from .logic import KripkeFrame
+    from .nno import RecursionData
 
 
 def _require_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
@@ -51,6 +47,8 @@ def _string_list(value: Any, where: str, field: str) -> tuple[str, ...]:
 def _named_set(name: str, value: Any, where: str, field: str) -> NamedFiniteSet:
     """The set ``name`` of ``value``, a list of distinct strings; anything
     else raises a ParseError naming ``field``."""
+    from .builders import NamedFiniteSet
+
     try:
         return NamedFiniteSet(name, _string_list(value, where, field))
     except ValueError as exc:
@@ -111,6 +109,8 @@ def read_json(path: str | Path) -> Any:
 
 
 def parse_category(doc: Any, where: str = "category") -> FiniteCategory:
+    from .core import Arrow, FiniteCategory
+
     _require_keys(doc, {"objects", "arrows", "identities", "compose"}, set(), where)
     objects = _string_list(doc["objects"], where, "objects")
     if not isinstance(doc["arrows"], list):
@@ -180,6 +180,10 @@ def _parse_named_sets(value: Any, where: str) -> list[NamedFiniteSet]:
 
 def parse_builder(doc: Any, where: str = "builder", cap: int | None = None, budget: int | None = None):
     """Run the builder named in the document and return its category."""
+    from .builders import (
+        FiniteMonoid, build_finrel, build_finset, build_mat, monoid_as_category, poset_as_category,
+    )
+
     if not isinstance(doc, dict) or "builder" not in doc:
         raise ParseError("missing field 'builder'", source=where)
     kind = doc["builder"]
@@ -240,6 +244,8 @@ def parse_builder(doc: Any, where: str = "builder", cap: int | None = None, budg
 
 
 def parse_poset(doc: Any, where: str = "poset") -> FinitePoset:
+    from .galois import FinitePoset
+
     _require_keys(doc, {"elements", "leq"}, set(), where)
     elements = _string_list(doc["elements"], where, "elements")
     pairs = _pair_list(doc["leq"], where, "leq")
@@ -250,6 +256,8 @@ def parse_poset(doc: Any, where: str = "poset") -> FinitePoset:
 
 
 def dump_poset(p: FinitePoset) -> dict:
+    from .galois import bits
+
     return {
         "elements": list(p.elements),
         "leq": [[x, p.elements[j]] for x, row in zip(p.elements, p.ups) for j in bits(row)],
@@ -270,6 +278,8 @@ def _embedded(value: Any, base: Path | None, parse, where: str, field: str):
 
 
 def parse_monotone_map(doc: Any, where: str = "map", base: Path | None = None) -> MonotoneMap:
+    from .galois import MonotoneMap
+
     _require_keys(doc, {"dom", "cod", "graph"}, set(), where)
     dom = _embedded(doc["dom"], base, parse_poset, where, "dom")
     cod = _embedded(doc["cod"], base, parse_poset, where, "cod")
@@ -297,6 +307,8 @@ def load_monotone_map(path: str | Path) -> MonotoneMap:
 
 
 def parse_functor(doc: Any, where: str = "functor", base: Path | None = None) -> Functor:
+    from .functors import Functor
+
     _require_keys(doc, {"source", "target", "object_map", "arrow_map"}, set(), where)
     source = _embedded(doc["source"], base, parse_category, where, "source")
     target = _embedded(doc["target"], base, parse_category, where, "target")
@@ -326,6 +338,9 @@ def load_functor(path: str | Path) -> Functor:
 
 
 def parse_frame(doc: Any, where: str = "frame") -> KripkeFrame:
+    from .builders import FiniteRelation
+    from .logic import KripkeFrame, SubsetOf
+
     _require_keys(doc, {"worlds", "access", "valuation"}, set(), where)
     worlds = _named_set("worlds", doc["worlds"], where, "worlds")
     pairs = _pair_list(doc["access"], where, "access")
@@ -343,6 +358,8 @@ def parse_frame(doc: Any, where: str = "frame") -> KripkeFrame:
 
 
 def dump_frame(frame: KripkeFrame) -> dict:
+    from .galois import bits
+
     worlds = frame.worlds.elements
     return {
         "worlds": list(worlds),
@@ -362,6 +379,8 @@ def load_frame(path: str | Path) -> KripkeFrame:
 
 
 def parse_structure(doc: Any, where: str = "structure") -> FOStructure:
+    from .firstorder import FORelation, FOStructure
+
     _require_keys(doc, {"carrier", "relations"}, set(), where)
     carrier = _named_set("carrier", doc["carrier"], where, "carrier")
     if not isinstance(doc["relations"], dict):
@@ -406,6 +425,8 @@ def load_structure(path: str | Path) -> FOStructure:
 
 
 def parse_recursion_data(doc: Any, where: str = "recursion") -> RecursionData:
+    from .nno import RecursionData
+
     _require_keys(doc, {"carrier", "c", "f"}, set(), where)
     carrier = _named_set("carrier", doc["carrier"], where, "carrier")
     if not isinstance(doc["c"], str):

@@ -94,8 +94,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if match is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
+            pos = len(text) - len(rest)
             raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
         if match.lastgroup == "arrow":
             tokens.append(("->", "->", match.start()))

@@ -277,6 +277,10 @@ class TestVerbs:
         assert code == 0
         assert "{1,2}" in out
 
+    def test_modal_eval_names_an_unknown_character_at_its_position(self):
+        code, out = invoke("modal-eval", FIXTURES / "frame.json", "--formula", "p & $q")
+        assert (code, out) == (2, "error: unexpected character '$' at position 4\n")
+
     def test_fo_eval(self):
         code, out = invoke(
             "fo-eval",

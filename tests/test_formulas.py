@@ -49,6 +49,15 @@ class TestParsing:
             parse_formula("p & & q")
         assert "position" in str(err.value)
 
+    @pytest.mark.parametrize("text, position", [("p $", 2), ("p & $q", 4), ("  $", 2), ("$", 0)])
+    def test_an_unknown_character_is_named_at_its_own_position(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert str(err.value) == f"unexpected character '$' at position {position}"
+
+    def test_trailing_whitespace_is_not_an_error(self):
+        assert parse_formula("p & q \t\n") == And(Atom("p"), Atom("q"))
+
     def test_rejects_trailing_input(self):
         with pytest.raises(ParseError):
             parse_formula("p q")
