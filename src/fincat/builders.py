@@ -498,7 +498,10 @@ def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory
     column of an arrow are made by id the first time a decider reads them,
     from the action of each arrow's matrix N on row vectors (the code of v
     to the code of v·N), so a question about one arrow computes only the
-    composites it reads.
+    composites it reads.  Each image is made when first read and kept: a
+    row reads the whole action of its N, and a column under each N only the
+    images of its own rows, until a second column that misses finds the
+    action of N partly made and makes the rest.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -520,26 +523,35 @@ def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory
             dom.extend([n] * (len(names) - offset[n][m]))
             cod.extend([m] * (len(names) - offset[n][m]))
 
-    def action(g: int) -> list[int]:
-        m, k = dom[g], cod[g]
-        flat = _digits(g - offset[m][k], p, m * k)
-        columns = [flat[c::k] for c in range(k)]
-        images = []
-        for v in itertools.product(range(p), repeat=m):
-            code = 0
-            for column in columns:
-                code = code * p + sum(map(operator.mul, v, column)) % p
-            images.append(code)
-        return images
+    vectors = Lazy(lambda m: list(itertools.product(range(p), repeat=m)))  # by code
+    # actions[g][r]: the code of v·N, for v the row vector of code r and N
+    # the matrix of g, made when first read
+    actions = Lazy(lambda g: [None] * p ** dom[g])
 
-    actions = Lazy(action)
+    def act(g: int, codes) -> list[int | None]:
+        """The action of g with the images of ``codes`` made, or all of
+        them once some are: a second read of g finds the rest made."""
+        images, m, k = actions[g], dom[g], cod[g]
+        if images.count(None) < len(images):
+            codes = range(len(images))
+        flat = _digits(g - offset[m][k], p, m * k)
+        columns, vs = [flat[c::k] for c in range(k)], vectors[m]
+        for r in codes:
+            if images[r] is None:
+                code = 0
+                for column in columns:
+                    code = code * p + sum(map(operator.mul, vs[r], column)) % p
+                images[r] = code
+        return images
 
     def row(g: int) -> tuple[int, ...]:
         # As the matrices of hom(n, dom g) run through their codes, the rows
         # of their products with g are the images of their rows, so each n
         # adds one comprehension over the codes of n - 1.
-        k = cod[g]
-        images, width = actions[g], p ** k
+        k, images = cod[g], actions[g]
+        if None in images:
+            act(g, range(len(images)))
+        width = p ** k
         composites: list[int] = []
         codes = [0]
         for n in dims:
@@ -550,6 +562,7 @@ def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory
         return tuple(composites)
 
     def column(f: int) -> tuple[int, ...]:
+        # g∘f reads only the images under g of the n rows of f
         n, m = dom[f], cod[f]
         rows = _digits(f - offset[n][m], p ** m, n)
         composites = []
@@ -558,7 +571,10 @@ def build_mat(p: int, max_dim: int, budget: int = DEFAULT_BUDGET) -> MatCategory
             for g in range(offset[m][k], offset[m][k] + p ** (m * k)):
                 images, code = actions[g], 0
                 for r in rows:
-                    code = code * width + images[r]
+                    image = images[r]
+                    if image is None:
+                        image = act(g, rows)[r]
+                    code = code * width + image
                 composites.append(start + code)
         return tuple(composites)
 

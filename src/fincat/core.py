@@ -21,6 +21,14 @@ that (h∘g)∘f = h∘(g∘f) for every composable f and h are closed under
 composition, and with the unit laws they include the identities; so if
 they include G, they are all the arrows.
 
+A thin category, one whose every hom-set holds at most one arrow (a
+preorder, Mac Lane, *Categories for the Working Mathematician*, §I.2), is
+decided by typing alone: once identities and composites are well typed,
+both sides of every unit and associativity law lie in one hom-set of at
+most one arrow, so they are equal.  For the same reason no two parallel
+arrows can break monic or epic, and a well-typed map into a thin category
+that preserves identities preserves composition.
+
 :class:`FiniteCategory` is the one category type.  A category read from
 user tables derives its kernel on first use and caches it, so a malformed
 table still constructs; deriving it checks the structure (dangling ids, a
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 from collections.abc import ItemsView
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import chain, compress, groupby
 from operator import itemgetter, ne
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -261,8 +269,9 @@ class Kernel:
     postcomposition on the arrows into its domain.  ``rows`` may be any
     table indexed by arrow id, such as a :class:`Lazy` one that makes each
     row when it is first read.  :meth:`op` is the kernel of C^op, whose
-    rows are the columns of C (f∘g for every f out of cod g), each made on
+    rows are the columns of C (f∘g for every f out of cod g), made on
     first read by ``column(g)`` when it is given and from the rows otherwise.
+    ``thin`` is derived from ``homs``: every hom-set holds at most one arrow.
 
     The constructor takes the tables by id, and the name maps from the
     category, and checks nothing.  :meth:`FiniteCategory.kernel` reads user
@@ -272,8 +281,8 @@ class Kernel:
     """
 
     __slots__ = (
-        "objects", "object_ids", "names", "ids", "dom", "cod", "homs",
-        "into", "out", "pos", "rows", "column", "identity", "gens", "lawful", "_op",
+        "objects", "object_ids", "names", "ids", "dom", "cod", "homs", "into", "out", "pos",
+        "rows", "column", "identity", "thin", "gens", "lawful", "_mistyped", "_op",
     )
 
     def __init__(
@@ -295,18 +304,39 @@ class Kernel:
         self.objects, self.object_ids, self.names, self.ids = objects, object_ids, tuple(ids), ids
         self.dom, self.cod, self.homs, self.identity = dom, cod, homs, identity
         self.into, self.out, self.pos, self.rows, self.column = into, out, pos, rows, column
+        self.thin = max(map(len, chain.from_iterable(homs)), default=0) < 2
         self.gens: list[int] | None = None
         self.lawful: bool | None = None
+        self._mistyped: list[tuple[int, int]] | None = None
         self._op: Kernel | None = None
 
     def op(self) -> "Kernel":
-        """The kernel of C^op, with dom and cod swapped and the columns of C
-        as its rows; made once and kept, with no reference back to this one."""
+        """The kernel of C^op, made once and kept, with no reference back to
+        this one.
+
+        It shares this kernel's tables: ``into`` and ``out`` swap, ``homs``
+        is transposed, and only the positions in ``out`` are computed.  Its
+        rows are the columns of C, made on first read by ``column(g)`` when
+        it is given; otherwise the columns of every arrow into an object b
+        are made at once, by transposing the rows of the arrows out of b.
+        """
         if self._op is None:
-            rows, pos, out, cod = self.rows, self.pos, self.out, self.cod
-            column = self.column or (lambda g: tuple([rows[f][pos[g]] for f in out[cod[g]]]))
-            self._op = Kernel(self.objects, self.object_ids, self.ids, cod, self.dom,
-                              self.identity, Lazy(column), rows.__getitem__)
+            rows, pos, into, out, cod = self.rows, self.pos, self.into, self.out, self.cod
+            op_pos = [0] * len(pos)
+            for arrows in out:
+                for i, f in enumerate(arrows):
+                    op_pos[f] = i
+            if self.column is None:
+                columns = Lazy(lambda b: list(zip(*[rows[f] for f in out[b]])) or [()] * len(into[b]))
+                op_rows = Lazy(lambda g: columns[cod[g]][pos[g]])
+            else:
+                op_rows = Lazy(self.column)
+            op = self._op = Kernel.__new__(Kernel)
+            op.objects, op.object_ids, op.names, op.ids = self.objects, self.object_ids, self.names, self.ids
+            op.dom, op.cod, op.identity, op.thin = cod, self.dom, self.identity, self.thin
+            op.homs, op.into, op.out, op.pos = list(map(list, zip(*self.homs))), out, into, op_pos
+            op.rows, op.column = op_rows, rows.__getitem__
+            op.gens = op.lawful = op._mistyped = op._op = None
         return self._op
 
     def generators(self) -> list[int]:
@@ -341,18 +371,46 @@ class Kernel:
                     reach([a] + [h for x, h in zip(into[dom[a]], rows[a]) if reached[x]])
         return self.gens
 
+    def mistyped(self) -> list[tuple[int, int]]:
+        """The composable pairs (f, g) whose composite g∘f does not run from
+        dom f to cod g, in order; found on first use and kept.
+
+        g∘f is well typed when its domains, read along the row of g, are
+        those of the arrows into dom g and its codomains are all cod g.
+        """
+        if self._mistyped is None:
+            dom, cod, into = self.dom, self.cod, self.into
+            in_doms = [[dom[f] for f in fs] for fs in into]
+            found = []
+            for g in range(len(dom)):
+                row = self.rows[g]
+                if list(map(cod.__getitem__, row)).count(cod[g]) != len(row) or (
+                    list(map(dom.__getitem__, row)) != in_doms[dom[g]]
+                ):
+                    found += [(f, g) for f, h in zip(into[dom[g]], row)
+                              if dom[h] != dom[f] or cod[h] != cod[g]]
+            self._mistyped = sorted(found)
+        return self._mistyped
+
+    def pairs(self) -> int:
+        """The number of composable pairs (g, f): the entries of all rows."""
+        return sum(len(i) * len(o) for i, o in zip(self.into, self.out))
+
     def arrow_id(self, f: ArrowId) -> int:
         try:
             return self.ids[f]
         except KeyError:
             raise UnknownArrow(f"unknown arrow {f!r}") from None
 
+    def object_id(self, a: ObjectId) -> int:
+        try:
+            return self.object_ids[a]
+        except KeyError:
+            raise UnknownObject(f"unknown object {a!r}") from None
+
     def hom(self, a: ObjectId, b: ObjectId) -> tuple[int, ...]:
         """Ids of the arrows a -> b, in arrow order."""
-        for x in (a, b):
-            if x not in self.object_ids:
-                raise UnknownObject(f"unknown object {x!r}")
-        return self.homs[self.object_ids[a]][self.object_ids[b]]
+        return self.homs[self.object_id(a)][self.object_id(b)]
 
     def compose(self, g: int, f: int) -> int | None:
         """The id of g∘f, or None when cod f is not dom g."""
@@ -400,7 +458,7 @@ def _read_tables(C: FiniteCategory) -> Kernel:
                 f"compose table has an entry for the non-composable pair ({g!r}, {f!r})"
             )
         rows[gi][pos[fi]] = hi
-    if len(C.composition) != sum(len(i) * len(o) for i, o in zip(into, out)):
+    if len(C.composition) != K.pairs():
         for fi, f in enumerate(ids):
             for gi in out[cod[fi]]:
                 if rows[gi][pos[fi]] is None:
@@ -469,8 +527,7 @@ class Composites(Mapping):
         return (key for key, _ in self._items())
 
     def __len__(self) -> int:
-        K = self._kernel
-        return sum(len(i) * len(o) for i, o in zip(K.into, K.out))
+        return self._kernel.pairs()
 
     def items(self) -> ItemsView:
         return _CompositeItems(self)
@@ -497,11 +554,14 @@ def validate(C: FiniteCategory) -> AxiomReport:
     Structural problems (dangling ids, a partial compose table) raise
     :class:`MalformedTable`; law violations -- identity typing, composite
     typing, units, associativity -- are all collected into the report, each
-    kind in the order of its witnesses' positions in ``arrows``.  Once the
-    typing and the unit laws hold, associativity is tested on the rows of
-    the kernel's generators alone, which is enough by Light's test (see the
-    module docstring); if that fails, every composable pair is scanned for
-    the report.  The verdict is kept on the kernel, as ``lawful``.
+    kind in the order of its witnesses' positions in ``arrows``.  A thin
+    kernel whose identities and composites are well typed is lawful, with
+    no unit or associativity check (see the module docstring).  Otherwise,
+    once the typing and the unit laws hold, associativity is tested on the
+    rows of the kernel's generators alone, which is enough by Light's test;
+    if that fails, every composable pair is scanned for the report.  The
+    composite typing is kept on the kernel, as :meth:`Kernel.mistyped`, and
+    the verdict as ``lawful``.
     """
     K = C.kernel()
     if K.lawful:
@@ -518,19 +578,8 @@ def validate(C: FiniteCategory) -> AxiomReport:
                 f"identity of {objects[a]!r} is typed {objects[dom[i]]!r}->{objects[cod[i]]!r}",
             ))
 
-    # g∘f is well typed when its domains, read along the row of g, are those
-    # of the arrows into dom g and its codomains are all cod g.
-    in_doms = [[dom[f] for f in fs] for fs in into]
-    mistyped = []
-    ends_at_cod = []
-    for g, row in enumerate(rows):
-        ends = list(map(cod.__getitem__, row)).count(cod[g]) == len(row)
-        ends_at_cod.append(ends)
-        if not ends or list(map(dom.__getitem__, row)) != in_doms[dom[g]]:
-            for f, h in zip(into[dom[g]], row):
-                if dom[h] != dom[f] or cod[h] != cod[g]:
-                    mistyped.append((f, g))
-    for f, g in sorted(mistyped):
+    mistyped = K.mistyped()
+    for f, g in mistyped:
         h = rows[g][pos[f]]
         violations.append(
             Violation(
@@ -541,6 +590,9 @@ def validate(C: FiniteCategory) -> AxiomReport:
                 f"{objects[dom[f]]!r}->{objects[cod[g]]!r}",
             )
         )
+    if K.thin and not violations:
+        K.lawful = True
+        return AxiomReport(True, ())
 
     for f in range(len(names)):
         left = K.compose(K.identity[cod[f]], f)
@@ -561,7 +613,8 @@ def validate(C: FiniteCategory) -> AxiomReport:
     def breaks(gs) -> Iterator[tuple]:
         for g in gs:
             row = rows[g]
-            after_g = take([pos[x] for x in row]) if ends_at_cod[g] else None
+            ends = not mistyped or list(map(cod.__getitem__, row)).count(cod[g]) == len(row)
+            after_g = take([pos[x] for x in row]) if ends else None
             for h in out[cod[g]]:
                 hg = rows[h][pos[g]]
                 if after_g is not None and dom[hg] == dom[g]:
@@ -605,13 +658,18 @@ class _Budget:
 def _monic(K: Kernel, f: ArrowId, budget: int) -> tuple[ArrowId, ArrowId] | None:
     """First (g, h), g before h in one hom into dom f, with f∘g = f∘h, or None.
 
-    A row of f that repeats no id has no such pair; otherwise the homs are
-    scanned in object order, each charged to the budget before it is read,
-    so that the budget raises where a search hom by hom would.
+    A thin kernel has no such pair, since no two arrows share a hom; nor
+    has a row of f that repeats no id.  Otherwise the homs are scanned in
+    object order, each charged to the budget before it is read, so that the
+    budget raises where a search hom by hom would.  With no pair, each way
+    charges the whole row in the end, and the first without reading it.
     """
     f = K.arrow_id(f)
-    row, pos, source = K.rows[f], K.pos, K.dom[f]
     meter = _Budget(budget)
+    if K.thin:
+        meter.charge(len(K.into[K.dom[f]]))
+        return None
+    row, pos, source = K.rows[f], K.pos, K.dom[f]
     if len(set(row)) == len(row):
         meter.charge(len(row))
         return None
@@ -643,7 +701,8 @@ def epic_counterexample(
     C: FiniteCategory, f: ArrowId, budget: int = DEFAULT_BUDGET
 ) -> tuple[ArrowId, ArrowId] | None:
     """First pair (g, h) with g∘f = h∘f but g ≠ h, or None if f is epic:
-    the monic search run on C^op, in the same order."""
+    the monic search run on C^op, in the same order.  On a thin category
+    it reads no column of C."""
     return _monic(C.kernel().op(), f, budget)
 
 
@@ -658,9 +717,10 @@ def find_inverse(
     """The two-sided inverse of f if one exists, else None.
 
     Searches hom(cod f, dom f) for g with g∘f and f∘g both identities,
-    reading the column and the row of f.  A lawful category admits at most
-    one such g; finding two means the tables break the axioms, which is
-    reported as MalformedTable.
+    reading the column and the row of f; when that hom is empty, once it
+    is charged to the budget, neither is read.  A lawful category admits at
+    most one such g; finding two means the tables break the axioms, which
+    is reported as MalformedTable.
     """
     K = C.kernel()
     f = K.arrow_id(f)
@@ -668,6 +728,8 @@ def find_inverse(
     id_a, id_b = K.identity[a], K.identity[b]
     candidates = K.homs[b][a]
     _Budget(budget).charge(len(candidates))
+    if not candidates:
+        return None
     op = K.op()
     row, col, pos, opos = K.rows[f], op.rows[f], K.pos, op.pos
     matches = [

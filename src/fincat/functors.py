@@ -67,13 +67,17 @@ def check_functoriality(F: Functor) -> AxiomReport:
 
     Missing map entries or dangling ids raise MalformedMap, and a malformed
     source or target table raises MalformedTable; every law violation is
-    reported with its witnessing arrows.  Composition is compared row by
-    row of the source.  When both kernels have passed
-    :func:`~fincat.core.validate` and typing and identities are preserved,
-    only the rows of the source's generators are: the g with
-    F(g∘f) = F(g)∘F(f) for every f include the identities and, by
-    associativity on both sides, are closed under composition.  On a
-    mismatch every row is compared.
+    reported with its witnessing arrows.  Once typing and identities are
+    preserved, a thin target settles composition without a comparison if
+    the composites of both kernels are well typed: F(g∘f) and F(g)∘F(f)
+    then both run from F(dom f) to F(cod g), and that hom holds at most one
+    arrow.  The typing of a target that has not been validated is checked
+    for this only when it has no more composable pairs than the source.
+    Otherwise composition is compared row by row of the source.
+    When both kernels have passed :func:`~fincat.core.validate`, only the
+    rows of the source's generators are: the g with F(g∘f) = F(g)∘F(f) for
+    every f include the identities and, by associativity on both sides, are
+    closed under composition.  On a mismatch every row is compared.
     """
     src, tgt = F.source, F.target
     for kind, table, keys, known in (
@@ -106,6 +110,12 @@ def check_functoriality(F: Functor) -> AxiomReport:
                 f"identity of {S.objects[a]!r} maps to {T.names[image_of[i]]!r}, "
                 f"expected {T.names[expected]!r}",
             ))
+    # The target's typing, unless validate found it already, is read only if
+    # it has no more composable pairs than the comparison below would read.
+    if not violations and T.thin and not S.mistyped() and (
+        T.lawful is not None or T.pairs() <= S.pairs()
+    ) and not T.mistyped():
+        return AxiomReport(True, ())
     # With every image well typed, F(g)∘F(f) for all f into a is the row of
     # F(g) read at the positions of the F(f); otherwise pair by pair.
     pick = [take([T.pos[image_of[f]] for f in fs]) for fs in S.into] if typed else None

@@ -128,6 +128,8 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
     bijection from the one onto the other, whatever the projections.
     """
     K = C.kernel()
+    for x in (a, b):
+        K.object_id(x)  # an unknown name raises, though C may have no apex to try
     certificates = []
     cones = None
     for apex in C.objects:

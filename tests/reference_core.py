@@ -191,8 +191,12 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
 
     All witnesses are returned, each with its full mediator table; the list
     is empty when no product exists.  Mediator search is pure enumeration of
-    hom-sets, in hom order, so results are deterministic.
+    hom-sets, in hom order, so results are deterministic.  An unknown object
+    is refused first, even when there is no apex to try.
     """
+    for x in (a, b):
+        if x not in C.objects:
+            raise UnknownObject(f"unknown object {x!r}")
     certificates = []
     for apex in C.objects:
         for p1 in C.hom(apex, a):

@@ -246,6 +246,11 @@ class TestVerbs:
         assert code == 1
         assert "no product" in out
 
+    def test_products_of_unknown_objects_in_an_empty_category_are_an_error(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"builder": "poset", "elements": [], "leq": []}))
+        assert invoke("products", path, "--pair", "a", "b") == (2, "error: unknown object 'a'\n")
+
     def test_terminal_lists_isos(self):
         code, out = invoke("terminal", FIXTURES / "finset.json")
         assert code == 0

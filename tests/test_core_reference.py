@@ -198,12 +198,48 @@ def rebound_to_another_domain():
     return FiniteCategory(tuple(objects), tuple(arrows), identities, composition)
 
 
+def thin_event(C) -> None:
+    """Label the example by whether its kernel is thin, so that the share of
+    thin inputs shows in the statistics."""
+    if not is_malformed(C):
+        event("thin" if C.kernel().thin else "not thin")
+
+
+def chain_with(identities: dict | None = None, composites: dict | None = None) -> FiniteCategory:
+    """The thin category of the chain a < b < c with some table entries
+    rewritten."""
+    objects, arrows, ids, composition = tables(poset_as_category(FinitePoset.chain("abc")))
+    ids.update(identities or {})
+    composition.update(composites or {})
+    return FiniteCategory(tuple(objects), tuple(arrows), ids, composition)
+
+
+def parallel_pair(composites: dict | None = None) -> FiniteCategory:
+    """Arrows f, g: a -> b that h: b -> c makes equal, with k = h∘f = h∘g.
+    Every hom(x, x) holds only the identity, yet hom(a, b) holds two
+    arrows, so the category is not thin and h is not monic."""
+    objects = ("a", "b", "c")
+    arrows = tuple(Arrow(*x) for x in [("1a", "a", "a"), ("1b", "b", "b"), ("1c", "c", "c"),
+                                      ("f", "a", "b"), ("g", "a", "b"), ("h", "b", "c"), ("k", "a", "c")])
+    identities = {x: f"1{x}" for x in objects}
+    composition = {}
+    for x in arrows:
+        composition[(identities[x.cod], x.name)] = composition[(x.name, identities[x.dom])] = x.name
+    composition[("h", "f")] = composition[("h", "g")] = "k"
+    composition.update(composites or {})
+    return FiniteCategory(objects, arrows, identities, composition)
+
+
 @SETTINGS
 @given(any_categories)
 @example(rebound_to_another_domain())
+@example(chain_with(identities={"b": "a<=b"}))
+@example(chain_with(composites={("b<=c", "a<=b"): "a<=b"}))
+@example(parallel_pair({("1b", "f"): "g"}))
 def test_validate_matches_the_reference(C):
     new, old = outcome(lambda: validate(C)), outcome(lambda: ref.validate(C))
     event("malformed" if new[0] == "raised" else "lawful" if new[1].ok else "violations")
+    thin_event(C)
     assert new == old
     assert (new[0] == "raised") == is_malformed(C)
 
@@ -345,9 +381,17 @@ def functors(draw):
     return Functor(source, target, object_map, arrow_map)
 
 
+def chain_into(target: FiniteCategory) -> Functor:
+    """The identity maps from the lawful chain a < b < c into ``target``."""
+    source = poset_as_category(FinitePoset.chain("abc"))
+    return Functor(source, target, {a: a for a in "abc"}, {f: f for f in source.all_arrows()})
+
+
 @SETTINGS
 @given(functors())
+@example(chain_into(chain_with(composites={("b<=c", "a<=b"): "a<=b"})))
 def test_functoriality_matches_the_reference(F):
+    thin_event(F.target)
     old = outcome(lambda: ref.check_functoriality(F))
     new = outcome(lambda: check_functoriality(F))
     if old[0] == "raised" and old[1] is MalformedMap:
@@ -389,7 +433,58 @@ def test_functoriality_on_validated_kernels_matches_the_reference(F):
     assert validate(F.source).ok and validate(F.target).ok
     report = check_functoriality(F)
     event("functor" if report.ok else "not a functor")
+    thin_event(F.target)
     assert report == ref.check_functoriality(F)
+
+
+@st.composite
+def monotone_functors(draw):
+    """A map between the elements of two random posets as a functor between
+    their thin categories: the arrow a <= b goes to m(a) <= m(b) when that
+    arrow exists and to a drawn arrow of the target otherwise, and up to two
+    arrows are then misrouted to any arrow.  Either category may have been
+    validated already, or be fresh."""
+    P = draw(finite_posets())
+    Q = draw(finite_posets().filter(lambda Q: Q.elements or not P.elements))
+    S, T = poset_as_category(P), poset_as_category(Q)
+    image = {x: draw(st.sampled_from(Q.elements)) for x in P.elements}
+    targets = list(T.all_arrows())
+    arrow_map = {}
+    for f in S.all_arrows():
+        name = f"{image[S.dom(f)]}<={image[S.cod(f)]}"
+        arrow_map[f] = name if T.has_arrow(name) else draw(st.sampled_from(targets))
+    for _ in range(draw(st.integers(0, 2))):
+        if arrow_map:
+            arrow_map[draw(st.sampled_from(sorted(arrow_map)))] = draw(st.sampled_from(targets))
+    for C in (S, T):
+        if draw(st.booleans()):
+            validate(C)
+    return Functor(S, T, image, arrow_map)
+
+
+@SETTINGS
+@given(monotone_functors())
+def test_monotone_functors_match_the_reference(F):
+    event("validated target" if F.target.kernel().lawful else "fresh target")
+    report = check_functoriality(F)
+    event("functor" if report.ok else "not a functor")
+    assert report == ref.check_functoriality(F)
+
+
+def test_a_thin_category_is_settled_by_typing():
+    """A thin category is lawful once its identities and composites are
+    well typed, no arrow of it can fail to be monic or epic, and a functor
+    into it preserves composition once typing and identities do: none of
+    these reads a generator, a column or a row comparison."""
+    C = poset_as_category(FinitePoset.chain([f"c{i}" for i in range(6)]))
+    K = C.kernel()
+    assert K.thin and K.op().thin
+    assert validate(C).ok and K.lawful and K.gens is None
+    assert check_functoriality(Functor.identity(C)).ok and K.gens is None
+    for f in C.all_arrows():
+        assert core.epic_counterexample(C, f) is None and core.monic_counterexample(C, f) is None
+    assert not K.op().rows
+    assert not parallel_pair().kernel().thin
 
 
 def test_a_target_that_failed_validate_is_checked_in_full():
@@ -447,6 +542,7 @@ budgets = st.one_of(st.integers(0, 3), st.just(core.DEFAULT_BUDGET))
 def test_predicates_match_the_reference(C, data):
     f = data.draw(st.sampled_from([a.name for a in C.arrows] + ["ghost"]))
     budget = data.draw(budgets)
+    thin_event(C)
     for name in PREDICATES:
         new = outcome(lambda: getattr(core, name)(C, f, budget))
         if is_malformed(C):
@@ -616,6 +712,24 @@ def test_poset_rows_match_the_dict_built_poset(C):
     assert list(C.composition.items()) == list(want.composition.items())
 
 
+@st.composite
+def broken_posets(draw):
+    return broken_copy(draw, draw(posets().filter(lambda C: len(C.arrows) > 1)), LAW_BREAKS)
+
+
+@SETTINGS
+@given(st.one_of(posets(), broken_posets()))
+def test_thin_predicates_raise_at_the_budgets_of_the_reference(C):
+    """Every budget up to past the longest row, on lawful posets and on
+    broken copies whose rows may repeat an id."""
+    assert C.kernel().thin
+    for f in C.all_arrows():
+        for budget in range(len(C.objects) + 2):
+            for name in PREDICATES:
+                new = outcome(lambda: getattr(core, name)(C, f, budget))
+                assert new == outcome(lambda: getattr(ref, name)(C, f, budget)), (f, budget, name)
+
+
 def every_arrow_categories():
     one, two = NamedFiniteSet("S0", ("x0",)), NamedFiniteSet("S1", ("x0", "x1"))
     return [
@@ -624,10 +738,13 @@ def every_arrow_categories():
         monoid_as_category(FiniteMonoid.cyclic(3)),
         mistyped_finset(),
         materialize(build_mat(2, 2)),
+        parallel_pair(),
     ]
 
 
-@pytest.mark.parametrize("C", every_arrow_categories(), ids=["finset", "finrel", "z3", "mistyped", "mat"])
+@pytest.mark.parametrize(
+    "C", every_arrow_categories(), ids=["finset", "finrel", "z3", "mistyped", "mat", "parallel"]
+)
 def test_predicates_match_the_reference_on_every_arrow(C):
     for f in C.all_arrows():
         for budget in (0, 1, 2, 3, 5, core.DEFAULT_BUDGET):

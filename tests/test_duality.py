@@ -8,6 +8,7 @@ string-keyed reference product search the coproducts of C, certificate for
 certificate, budgets and the points where they raise included."""
 
 import gc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from fincat.builders import (
     poset_as_category,
 )
 from fincat.core import Arrow, FiniteCategory, opposite, validate
-from fincat.formats import dump_category, parse_category
+from fincat.formats import dump_category, load_category, parse_category
 from fincat.functors import Functor, check_functoriality
 from fincat.galois import FinitePoset
 from fincat.nno import nno_search
@@ -41,6 +42,11 @@ from test_core_reference import (
 
 DUALITY = settings(max_examples=150, deadline=None)
 BUDGETS = (0, 1, 2, 3, 5, core.DEFAULT_BUDGET)
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+CATEGORY_FIXTURES = [
+    "diamond", "finset", "mat", "monoid_z2", "poset_divisibility", "threechain", "twochain",
+    "twochain_broken",
+]
 
 
 def flipped(C: FiniteCategory) -> FiniteCategory:
@@ -128,6 +134,62 @@ def test_the_empty_set_is_initial_and_coproducts_are_disjoint_unions():
             assert C.dom(mediator) == "S3" and C.cod(mediator) == cocone.apex
             assert C.compose(mediator, cert.pi1) == cocone.left
             assert C.compose(mediator, cert.pi2) == cocone.right
+
+
+def op_column_by_column(K: core.Kernel) -> core.Kernel:
+    """The kernel of C^op made the old way, the oracle of `Kernel.op`: the
+    constructor run on C's ends swapped, each row of C^op a column of C made
+    by its own comprehension, or by the builder's ``column``."""
+    rows, pos, out, cod = K.rows, K.pos, K.out, K.cod
+    column = K.column or (lambda g: tuple([rows[f][pos[g]] for f in out[cod[g]]]))
+    return core.Kernel(K.objects, K.object_ids, K.ids, cod, K.dom, K.identity, core.Lazy(column),
+                       rows.__getitem__)
+
+
+TABLES = ("objects", "object_ids", "names", "ids", "dom", "cod", "identity", "homs", "into", "out",
+          "pos", "thin")
+
+
+def assert_op_is_made_from_the_tables(C: FiniteCategory, order=lambda ids: ids) -> None:
+    """`Kernel.op` against the oracle, its columns read in ``order`` before
+    any row of C is (a fresh `build_mat` has made no image yet), and
+    C^op^op against C."""
+    K = C.kernel()
+    op, old, arrows = K.op(), op_column_by_column(K), range(len(K.names))
+    for table in TABLES:
+        assert getattr(op, table) == getattr(old, table), table
+    columns = {g: op.rows[g] for g in order(list(arrows))}
+    want = [tuple([K.rows[f][K.pos[g]] for f in K.out[K.cod[g]]]) for g in arrows]
+    assert [columns[g] for g in arrows] == want == [old.rows[g] for g in arrows]
+    back = op.op()
+    for table in TABLES:
+        assert getattr(back, table) == getattr(K, table), table
+    assert [back.rows[g] for g in arrows] == [K.rows[g] for g in arrows]
+
+
+@pytest.mark.parametrize("name", CATEGORY_FIXTURES)
+def test_the_op_kernel_of_each_fixture_is_made_from_its_tables(name):
+    assert_op_is_made_from_the_tables(load_category(FIXTURES / f"{name}.json"))
+
+
+@DUALITY
+@given(duality_categories)
+def test_the_op_kernel_of_a_drawn_category_is_made_from_its_tables(C):
+    assert_op_is_made_from_the_tables(C)
+
+
+@pytest.mark.parametrize("size", [(2, 1), (2, 2), (3, 2)], ids=lambda pd: f"p{pd[0]}-d{pd[1]}")
+@pytest.mark.parametrize("order", ["forward", "backward", "validated"])
+def test_mat_columns_made_image_by_image_are_the_columns_of_the_rows(size, order):
+    C = build_mat(*size)
+    if order == "validated":
+        validate(C)
+    assert_op_is_made_from_the_tables(C, reversed if order == "backward" else lambda ids: ids)
+
+
+@pytest.mark.parametrize("C", small_categories()[:2], ids=["finset", "finrel"])
+def test_the_op_kernel_of_a_built_category_is_made_from_its_tables(C):
+    assert_op_is_made_from_the_tables(C)
 
 
 def test_the_opposite_is_made_once_and_refers_back_to_nothing():

@@ -10,11 +10,12 @@ from fincat.builders import (
     poset_as_category,
 )
 from fincat.core import Arrow, FiniteCategory, validate
-from fincat.errors import NotAProduct, NotTerminal
+from fincat.errors import NotAProduct, NotTerminal, UnknownObject
 from fincat.galois import FinitePoset
 from fincat.universal import (
     Cone,
     ProductCertificate,
+    find_coproducts,
     find_products,
     find_terminals,
     finite_product,
@@ -152,6 +153,14 @@ class TestBinaryProducts:
         )
         assert validate(C).ok
         assert find_products(C, "A", "B") == []
+
+    @pytest.mark.parametrize("search", [find_products, find_coproducts])
+    def test_an_unknown_object_is_refused_in_every_category(self, search):
+        empty = poset_as_category(FinitePoset([], []))
+        one = poset_as_category(FinitePoset.chain(["a"]))
+        for C, a, b, unknown in [(empty, "a", "b", "a"), (one, "a", "b", "b"), (one, "c", "a", "c")]:
+            with pytest.raises(UnknownObject, match=f"^unknown object '{unknown}'$"):
+                search(C, a, b)
 
 
 def five_arrow_counterexample():
