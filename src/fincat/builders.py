@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -26,11 +25,11 @@ from .core import (
     take,
     validate,
 )
-from .errors import EnumerationBudgetExceeded, InvalidMonoid
+from .errors import EnumerationBudgetExceeded, InvalidMonoid, record
 from .galois import FinitePoset, bits, select
 
 
-@dataclass(frozen=True)
+@record
 class NamedFiniteSet:
     """A finite set of distinct labels under a name.  ``positions``, each
     element's index, is derived and not a field: equality ignores it."""
@@ -60,7 +59,7 @@ def subset_label(subset: frozenset, universe: NamedFiniteSet) -> str:
     return "{" + ",".join(members) + "}"
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class FiniteRelation:
     """A relation between named finite sets, given by its (source, target) pairs;
     ``rows[i]`` is the mask of the ``cod`` elements related to ``dom.elements[i]``."""
@@ -95,7 +94,7 @@ class FiniteRelation:
         return cls._from_rows(s, s, tuple(1 << i for i in range(len(s.elements))))
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class FiniteFunction(FiniteRelation):
     """A total function between named finite sets: a relation with one-bit rows."""
 
@@ -128,7 +127,7 @@ class FiniteFunction(FiniteRelation):
     identity = classmethod(FiniteRelation.diagonal.__func__)
 
 
-@dataclass(frozen=True)
+@record
 class FiniteMonoid:
     """Elements with a total binary table and a unit; laws checked on demand."""
 
@@ -170,7 +169,7 @@ class FiniteMonoid:
         return cls(elems, "0", mult)
 
 
-@dataclass(frozen=True)
+@record
 class MatrixOverZp:
     """A rows x cols matrix with entries reduced mod the prime p."""
 
@@ -221,7 +220,7 @@ def _hom_code(C: FiniteCategory, f: ArrowId) -> tuple[int, int, int]:
     return a, b, i - K.homs[a][b][0]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FinSetCategory(FiniteCategory):
     """All functions between the given sets; each is made on read from its id."""
 
@@ -240,7 +239,7 @@ class FinSetCategory(FiniteCategory):
         return {f: self.function(f) for f in self.all_arrows()}
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FinRelCategory(FiniteCategory):
     """All relations between the given sets; each is made on read from its id."""
 
@@ -462,7 +461,7 @@ def _require_prime(p: int, budget: int) -> None:
     _require_arrows(len(divisors), "trial divisions of p", budget)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class MatCategory(FiniteCategory):
     """Matrices over Z_p between the dimensions 0..max_dim, as strings.
 

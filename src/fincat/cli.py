@@ -18,16 +18,15 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable
 
 # Every verb but ``demo`` reads a file, and the parser's defaults read
 # ``core``; each handler imports the other modules its verb needs when it runs.
 from . import core, formats
-from .errors import FincatError, ParseError
+from .errors import FincatError, ParseError, record
 
 
-@dataclass
+@record
 class Report:
     """Structured verb outcome; a 'fail' status always carries witnesses."""
 
@@ -295,7 +294,7 @@ FILE = _arg("file")
 FORMULA = _arg("--formula", required=True)
 
 
-@dataclass(frozen=True)
+@record
 class Verb:
     """One subcommand.  ``arguments`` follow the shared flags in the parser.
     A ``bare`` verb prints its lines without the witnesses and status."""

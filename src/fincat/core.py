@@ -44,7 +44,6 @@ arrow-count budget so no search can blow up silently.
 from __future__ import annotations
 
 from collections.abc import ItemsView
-from dataclasses import dataclass
 from itertools import chain, compress, groupby
 from operator import itemgetter, ne
 from typing import Callable, Iterator, Mapping, Sequence
@@ -54,6 +53,7 @@ from .errors import (
     MalformedTable,
     UnknownArrow,
     UnknownObject,
+    record,
 )
 
 ObjectId = str
@@ -63,7 +63,7 @@ ArrowId = str
 DEFAULT_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
+@record
 class Arrow:
     """A named arrow with its domain and codomain objects."""
 
@@ -72,7 +72,7 @@ class Arrow:
     cod: ObjectId
 
 
-@dataclass(frozen=True)
+@record
 class FiniteCategory:
     """A category given by explicit finite tables.
 
@@ -212,7 +212,7 @@ def opposite(C: FiniteCategory) -> FiniteCategory:
     return _of(C.kernel().op())
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One broken law instance, with the arrows that witness it."""
 
@@ -221,7 +221,7 @@ class Violation:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class AxiomReport:
     """Outcome of a law check: ok iff the violation list is empty."""
 

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by every module of the engine."""
+"""Exception hierarchy shared by every module of the engine, and the
+:func:`record` decorator that makes its frozen value classes.
+
+A record behaves as a frozen dataclass of its annotated fields, but only
+its ``__init__`` is compiled; equality, hash, repr and the refusal to assign
+or delete are closures over the field names, so importing records costs
+one ``exec`` per class.
+"""
+
+from operator import attrgetter
 
 
 class FincatError(Exception):
@@ -113,3 +122,59 @@ class BoundExceeded(FincatError):
 
 class UnknownDemo(FincatError):
     """The demo registry has no entry under the requested name."""
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of a frozen record was assigned or deleted."""
+
+
+def record(cls=None, /, *, init: bool = True, eq: bool = True):
+    """Make ``cls`` a record, as ``dataclass(frozen=True, init=init, eq=eq)`` would:
+    its fields, in ``__match_args__``, are the base record's and then its own
+    annotations; an ``__eq__`` it defines is kept, and with ``eq=False`` it inherits
+    ``__eq__`` and ``__hash__``; assigning or deleting raises :class:`FrozenInstanceError`."""
+    if cls is None:
+        return lambda cls: record(cls, init=init, eq=eq)
+    base, own = getattr(cls, "__match_args__", ()), cls.__dict__
+    names = (*base, *(n for n in own.get("__annotations__", {}) if n not in base))
+    get = attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    if init:
+        cls.__init__ = _init(cls, names)
+    if eq:
+        cls.__eq__ = own.get("__eq__", __eq__)
+        cls.__hash__ = __hash__
+    cls.__repr__, cls.__match_args__ = __repr__, names
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+def _frozen(self, name, *value):
+    """A frozen record's ``__setattr__`` and ``__delattr__``."""
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _init(cls: type, names: tuple[str, ...]):
+    """Compile a record's ``__init__``: each field a parameter, defaulting to
+    its class attribute, set in order, then ``__post_init__``."""
+    types = {n: t for b in reversed(cls.__mro__) for n, t in vars(b).get("__annotations__", {}).items()}
+    defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
+    params = "".join(f", {n}=_dflt[{n!r}]" if n in defaults else f", {n}" for n in names)
+    body = "".join(f"\n _setattr(self, {n!r}, {n})" for n in names)
+    body += "\n self.__post_init__()" * hasattr(cls, "__post_init__")
+    namespace = {"_setattr": object.__setattr__, "_dflt": defaults}
+    exec(f"def __init__(self{params}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{n: types[n] for n in names}, "return": None}
+    return init

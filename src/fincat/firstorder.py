@@ -12,19 +12,18 @@ for the i-th tuple of `all_assignments`, listed once per context.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import Mapping
 
 from .core import DEFAULT_BUDGET, Lazy
-from .errors import ContextMismatch, ContextOverflow, EnumerationBudgetExceeded, UnknownAtom
+from .errors import ContextMismatch, ContextOverflow, EnumerationBudgetExceeded, UnknownAtom, record
 from .formulas import And, Atom, Exists, Forall, Formula, Implies, Not, Or
 from .galois import digits, mask_of, select
 from .logic import Universe
 
 
-@dataclass(frozen=True)
+@record
 class FORelation:
     """An interpreted relation: fixed arity, set of tuples over the carrier."""
 
@@ -37,7 +36,7 @@ class FORelation:
                 raise ValueError(f"tuple {t!r} does not have arity {self.arity}")
 
 
-@dataclass(frozen=True)
+@record
 class FOStructure:
     """A finite carrier with named interpreted relations."""
 
@@ -61,7 +60,7 @@ class FOStructure:
             raise UnknownAtom(f"structure has no relation {name!r}") from None
 
 
-@dataclass(frozen=True)
+@record
 class AssignmentSet:
     """A set of assignment tuples in a fixed context size."""
 

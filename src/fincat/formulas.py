@@ -11,13 +11,12 @@ and extend as far right as possible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Union
 
-from .errors import ParseError
+from .errors import ParseError, record
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     """`p` (propositional, no args) or `R(v1,...,vk)` (first-order)."""
 
@@ -25,47 +24,55 @@ class Atom:
     args: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Not:
+    """`!body`: negation."""
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class And:
+    """`left & right`: conjunction."""
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
+    """`left | right`: disjunction."""
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Implies:
+    """`left -> right`: implication."""
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Box:
+    """`box body`: true where every accessible world satisfies the body."""
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Dia:
+    """`dia body`: true where some accessible world satisfies the body."""
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Forall:
+    """`forall vK. body`: universal quantification over variable ``var``."""
     var: int
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Exists:
+    """`exists vK. body`: existential quantification over variable ``var``."""
     var: int
     body: "Formula"
 

@@ -6,7 +6,6 @@ from monotone maps and monoid homomorphisms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .builders import (
@@ -35,11 +34,12 @@ from .errors import (
     NotAFunctor,
     NotAHomomorphism,
     SourceTargetMismatch,
+    record,
 )
 from .galois import MonotoneMap
 
 
-@dataclass(frozen=True)
+@record
 class Functor:
     """Object and arrow tables between two explicit categories.
 
@@ -232,7 +232,7 @@ def functor_as_monotone(F: Functor) -> MonotoneMap:
     )
 
 
-@dataclass(frozen=True)
+@record
 class MonoidHom:
     """A map of monoid elements claimed to preserve product and unit."""
 

@@ -17,14 +17,13 @@ picks walking the set bits (O(m) Python steps) or scanning the n² digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, product
 from operator import and_, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import AdjunctionFails, InvalidPoset, NotMonotone, UnknownElement
+from .errors import AdjunctionFails, InvalidPoset, NotMonotone, UnknownElement, record
 
 Element = str
 
@@ -90,7 +89,7 @@ def _indexed(elements: tuple) -> dict:
     return index
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class FinitePoset:
     """A finite carrier with a reflexive, transitive, antisymmetric relation.
 
@@ -238,7 +237,7 @@ class FinitePoset:
         return self._name(self._pick(self.ups[self.position(x)] & self.ups[self.position(y)], self.downs))
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class MonotoneMap:
     """An order-preserving total map between finite posets; ``image[i]`` is
     the codomain position of the image of ``dom.elements[i]``."""
@@ -305,7 +304,7 @@ def compose_maps(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap._from_image(f.dom, g.cod, tuple(g.image[i] for i in f.image))
 
 
-@dataclass(frozen=True)
+@record
 class Approximation:
     """Approximants of one element, with the least one when it exists.
 
@@ -393,7 +392,7 @@ def unit_counit_violations(f: MonotoneMap, g: MonotoneMap) -> tuple[str, ...]:
     return tuple(failed)
 
 
-@dataclass(frozen=True)
+@record
 class AdjunctionCertificate:
     """Record of a verified adjoint pair: f left adjoint, g right adjoint."""
 
@@ -425,8 +424,10 @@ def verify_adjunction(f: MonotoneMap, g: MonotoneMap) -> AdjunctionCertificate:
     )
 
 
-@dataclass(frozen=True)
+@record
 class FloorCeilingRow:
+    """One point of the floor/ceiling demo: each adjoint's value and the expected one."""
+
     point: str
     floor: str
     floor_expected: str
@@ -438,7 +439,7 @@ class FloorCeilingRow:
         return self.floor == self.floor_expected and self.ceiling == self.ceiling_expected
 
 
-@dataclass(frozen=True)
+@record
 class FloorCeilingReport:
     """Both adjoints of the integer-chain inclusion, checked pointwise."""
 

@@ -14,11 +14,10 @@ poset's elements one at a time, below before above, in O(n·#down-sets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .builders import FiniteFunction, FiniteRelation, NamedFiniteSet, subset_label
-from .errors import EnumerationBudgetExceeded, NotDownClosed, UniverseMismatch, UnknownAtom
+from .errors import EnumerationBudgetExceeded, NotDownClosed, UniverseMismatch, UnknownAtom, record
 from .formulas import And, Atom, Box, Dia, Formula, Implies, Not, Or
 from .galois import FinitePoset, bits
 
@@ -35,7 +34,7 @@ def _names(universe: Universe, mask: int) -> tuple:
     return tuple(universe.elements[i] for i in bits(mask))
 
 
-@dataclass(frozen=True, init=False)
+@record(init=False)
 class SubsetOf:
     """A subset of a universe as an int mask, bit i standing for
     ``universe.elements[i]``; equality and hashing read the two fields, and
@@ -149,7 +148,7 @@ def _require_cap(cap: int, *universes: Universe) -> None:
         raise EnumerationBudgetExceeded(f"universe larger than the cap of {cap} elements")
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     """Outcome of an exhaustive law check with the instances that failed."""
 
@@ -211,7 +210,7 @@ def check_box_adjunction(r: FiniteRelation, cap: int = 4) -> CheckReport:
     return CheckReport(not witnesses, len(dom_masks) * len(cod_masks), tuple(witnesses))
 
 
-@dataclass(frozen=True)
+@record
 class KripkeFrame:
     """Worlds, an accessibility relation over them, and an atom valuation."""
 

@@ -10,16 +10,15 @@ property relative to everything the category itself contains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .builders import NamedFiniteSet
 from .core import ArrowId, FiniteCategory, Kernel, ObjectId
-from .errors import BoundExceeded
+from .errors import BoundExceeded, record
 from .universal import find_terminals
 
 
-@dataclass(frozen=True)
+@record
 class BoundedNaturalSystem:
     """Numerals 0..bound with an explicit successor table.
 
@@ -67,7 +66,7 @@ def numeral(sys: BoundedNaturalSystem, n: int) -> str:
     return " ∘ ".join(["s"] * n + ["z"])
 
 
-@dataclass(frozen=True)
+@record
 class RecursionData:
     """A carrier with a start element and a total self-map: one recursion."""
 
@@ -95,7 +94,7 @@ def primrec_eval(data: RecursionData, n: int) -> str:
     return value
 
 
-@dataclass(frozen=True)
+@record
 class MediationReport:
     """Outcome of checking the recursion square on a bounded prefix."""
 
@@ -126,7 +125,7 @@ def check_mediation(
     return MediationReport(up_to, True, None)
 
 
-@dataclass(frozen=True)
+@record
 class NnoSearchResult:
     """All (N, z, s) triples satisfying the universal property, plus a note
     when the search could not even start."""
@@ -184,7 +183,7 @@ def _mediates_uniquely(K: Kernel, n: ObjectId, z: int, s: int, recursion_data) -
     return True
 
 
-@dataclass(frozen=True)
+@record
 class DedekindReport:
     """Successor injectivity and image on the bounded prefix.
 

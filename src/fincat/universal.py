@@ -10,14 +10,13 @@ replayed literally instead of trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .core import ArrowId, FiniteCategory, Kernel, ObjectId, opposite
-from .errors import NotAProduct, NotTerminal
+from .errors import NotAProduct, NotTerminal, record
 
 
-@dataclass(frozen=True)
+@record
 class Cone:
     """A span apex <- left / right -> over a fixed pair of objects."""
 
@@ -26,7 +25,7 @@ class Cone:
     right: ArrowId
 
 
-@dataclass(frozen=True)
+@record
 class ProductCertificate:
     """An apex-with-projections plus the mediator of every cone over (A, B)."""
 
@@ -46,7 +45,7 @@ class ProductCertificate:
         return self.cone.right
 
 
-@dataclass(frozen=True)
+@record
 class IsoCertificate:
     """Two mutually inverse arrows with the equations that were verified."""
 
@@ -238,7 +237,7 @@ def product_iso_certificate(
     return IsoCertificate(forward, backward, tuple(checks))
 
 
-@dataclass(frozen=True)
+@record
 class FiniteProductCertificate:
     """Apex and projections of an n-ary product built by folding binary ones."""
 

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import pytest
 
 from reference_core import compose_functions, compose_relations
@@ -111,7 +109,7 @@ class TestRows:
     def test_functions_and_relations_keep_only_their_rows(self):
         f = FiniteFunction(TWO, TWO, {"0": "1", "1": "1"})
         r = FiniteRelation(TWO, DOT, [("1", "*")])
-        assert [field.name for field in fields(f)] == [field.name for field in fields(r)] == ["dom", "cod", "rows"]
+        assert list(type(f).__match_args__) == list(type(r).__match_args__) == ["dom", "cod", "rows"]
         assert (f.rows, r.rows) == ((0b10, 0b10), (0, 1))
         assert (f("0"), f.graph, r.pairs) == ("1", {"0": "1", "1": "1"}, {("1", "*")})
         assert not f.is_injective() and not f.is_surjective()
@@ -149,7 +147,7 @@ class TestRows:
         with pytest.raises(ValueError):
             s.index("c")
         assert s == NamedFiniteSet("S", ("a", "b")) and hash(s) == hash(NamedFiniteSet("S", ("a", "b")))
-        assert "positions" not in [field.name for field in fields(s)]
+        assert "positions" not in type(s).__match_args__
 
 
 class TestFinRel:

@@ -6,8 +6,9 @@ installed third-party package would let a stray import pass every other
 test, so that check reads the sources instead of importing them.
 
 The package namespace is lazy: a name resolves to its home module's object
-on first access, and a session loads only the modules it uses.  The module
-sets are checked in a fresh interpreter, as this process has loaded them all.
+on first access, and a session loads only the modules it uses, never
+``dataclasses`` or ``inspect``.  The module sets are checked in a fresh
+interpreter, as this process has loaded them all.
 """
 
 import ast
@@ -121,9 +122,9 @@ def test_a_name_rebound_in_its_home_module_is_read_from_there(monkeypatch):
     assert fincat.validate is fincat.core.validate
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The fincat modules a fresh interpreter has loaded after ``code``."""
-    report = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('fincat'))))"
+def loaded_modules(code: str, prefix: str = "fincat") -> set[str]:
+    """The modules named ``prefix``... that a fresh interpreter has loaded after ``code``."""
+    report = f"import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"], cwd=ROOT, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60, check=True,
@@ -131,18 +132,26 @@ def loaded_modules(code: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+VALIDATE = (
+    "import contextlib, io\n"
+    "from fincat import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.run(['validate', 'fixtures/twochain.json']) == 0"
+)
+
+
 def test_import_core_loads_only_core_and_errors():
     assert loaded_modules("import fincat.core") == {"fincat", "fincat.core", "fincat.errors"}
 
 
 def test_validate_on_a_category_file_loads_only_the_category_modules():
-    code = (
-        "import contextlib, io\n"
-        "from fincat import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.run(['validate', 'fixtures/twochain.json']) == 0"
-    )
-    assert loaded_modules(code) == {"fincat", "fincat.cli", "fincat.formats", "fincat.core", "fincat.errors"}
+    assert loaded_modules(VALIDATE) == {"fincat", "fincat.cli", "fincat.formats", "fincat.core", "fincat.errors"}
+
+
+@pytest.mark.parametrize("code", ["from fincat import *", VALIDATE], ids=["star_import", "cli_validate"])
+def test_no_session_loads_dataclasses_or_inspect(code):
+    # records compile only their __init__; neither module is needed at run time
+    assert not loaded_modules(code, prefix="") & {"dataclasses", "inspect"}
 
 
 def test_star_import_loads_every_namespace_module():
