@@ -12,7 +12,10 @@ and Burstall's *Computational Category Theory* (1988).  Arrow ids follow
 arrow g keeps its postcomposition row, the id of g∘f for every f into
 dom g.  Composing is then two list lookups, associativity is the row
 identity ``row(h∘g) == row(h)∘row(g)``, f is monic when its row repeats no
-id within a hom, and epic when it is monic in C^op.
+id within a hom, and epic when it is monic in C^op, which is built only for
+epic arrows, initial objects and coproducts; g is inverse to f when the row
+of f reads id at g and the row of g reads id at f.  Names become ids once,
+at the call, and a decider makes names only for what it returns.
 
 The laws are decided on a set G of arrows that generates the category, by
 Light's associativity test (Clifford and Preston, *The Algebraic Theory of
@@ -157,6 +160,10 @@ class FiniteCategory:
         return (self.objects, self.arrows, self.identities, self.composition) == (
             other.objects, other.arrows, other.identities, other.composition
         )
+
+    def __hash__(self) -> int:
+        """Equal categories have the same objects and as many arrows."""
+        return hash((self.objects, len(self.arrows)))
 
     @property
     def category(self) -> "FiniteCategory":
@@ -407,10 +414,6 @@ class Kernel:
             return self.object_ids[a]
         except KeyError:
             raise UnknownObject(f"unknown object {a!r}") from None
-
-    def hom(self, a: ObjectId, b: ObjectId) -> tuple[int, ...]:
-        """Ids of the arrows a -> b, in arrow order."""
-        return self.homs[self.object_id(a)][self.object_id(b)]
 
     def compose(self, g: int, f: int) -> int | None:
         """The id of g∘f, or None when cod f is not dom g."""
@@ -716,25 +719,22 @@ def find_inverse(
 ) -> ArrowId | None:
     """The two-sided inverse of f if one exists, else None.
 
-    Searches hom(cod f, dom f) for g with g∘f and f∘g both identities,
-    reading the column and the row of f; when that hom is empty, once it
-    is charged to the budget, neither is read.  A lawful category admits at
-    most one such g; finding two means the tables break the axioms, which
-    is reported as MalformedTable.
+    Searches hom(cod f, dom f) for g with f∘g and g∘f both identities,
+    reading f∘g off the row of f and, only if it is one, g∘f off the row of
+    g; when that hom is empty, once it is charged to the budget, no row is
+    read.  A lawful category admits at most one such g; finding two means
+    the tables break the axioms, which is reported as MalformedTable.
     """
     K = C.kernel()
     f = K.arrow_id(f)
     a, b = K.dom[f], K.cod[f]
-    id_a, id_b = K.identity[a], K.identity[b]
     candidates = K.homs[b][a]
     _Budget(budget).charge(len(candidates))
     if not candidates:
         return None
-    op = K.op()
-    row, col, pos, opos = K.rows[f], op.rows[f], K.pos, op.pos
-    matches = [
-        K.names[g] for g in candidates if col[opos[g]] == id_a and row[pos[g]] == id_b
-    ]
+    rows, pos, id_a, id_b = K.rows, K.pos, K.identity[a], K.identity[b]
+    row, at_f = rows[f], pos[f]
+    matches = [K.names[g] for g in candidates if row[pos[g]] == id_b and rows[g][at_f] == id_a]
     if len(matches) > 1:
         raise MalformedTable(
             f"arrow {K.names[f]!r} has several two-sided inverses {matches!r}; "

@@ -131,8 +131,9 @@ class FrozenInstanceError(AttributeError):
 def record(cls=None, /, *, init: bool = True, eq: bool = True):
     """Make ``cls`` a record, as ``dataclass(frozen=True, init=init, eq=eq)`` would:
     its fields, in ``__match_args__``, are the base record's and then its own
-    annotations; an ``__eq__`` it defines is kept, and with ``eq=False`` it inherits
-    ``__eq__`` and ``__hash__``; assigning or deleting raises :class:`FrozenInstanceError`."""
+    annotations; an ``__eq__`` or ``__hash__`` it defines is kept (a body that defines
+    ``__eq__`` alone has ``__hash__ = None``, which is not), and with ``eq=False`` it
+    inherits both; assigning or deleting raises :class:`FrozenInstanceError`."""
     if cls is None:
         return lambda cls: record(cls, init=init, eq=eq)
     base, own = getattr(cls, "__match_args__", ()), cls.__dict__
@@ -153,7 +154,8 @@ def record(cls=None, /, *, init: bool = True, eq: bool = True):
         cls.__init__ = _init(cls, names)
     if eq:
         cls.__eq__ = own.get("__eq__", __eq__)
-        cls.__hash__ = __hash__
+        if not callable(own.get("__hash__")):
+            cls.__hash__ = __hash__
     cls.__repr__, cls.__match_args__ = __repr__, names
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls

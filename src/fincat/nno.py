@@ -147,32 +147,25 @@ def nno_search(C: FiniteCategory) -> NnoSearchResult:
     terminals = find_terminals(C)
     if not terminals:
         return NnoSearchResult((), note="no terminal object")
-    one = terminals[0]
-    recursion_data = [
-        (a, c, f)
-        for a in C.objects
-        for c in K.hom(one, a)
-        for f in K.hom(a, a)
-    ]
+    homs, points = K.homs, K.homs[K.object_ids[terminals[0]]]
+    recursion_data = [(a, c, f) for a, maps in enumerate(homs) for c in points[a] for f in maps[a]]
     winners = []
-    for n in C.objects:
-        hom_one_n = K.hom(one, n)
-        hom_n_n = K.hom(n, n)
-        for z in hom_one_n:
-            for s in hom_n_n:
+    for n, maps in enumerate(homs):
+        for z in points[n]:
+            for s in maps[n]:
                 if _mediates_uniquely(K, n, z, s, recursion_data):
-                    winners.append((n, K.names[z], K.names[s]))
+                    winners.append((K.objects[n], K.names[z], K.names[s]))
     return NnoSearchResult(tuple(winners))
 
 
-def _mediates_uniquely(K: Kernel, n: ObjectId, z: int, s: int, recursion_data) -> bool:
+def _mediates_uniquely(K: Kernel, n: int, z: int, s: int, recursion_data) -> bool:
     """Exactly one h : n -> a with h∘z = c and h∘s = f∘h, for every (a, c, f)."""
-    rows, pos = K.rows, K.pos
+    rows, pos, out = K.rows, K.pos, K.homs[n]
     at_z, at_s = pos[z], pos[s]
     for a, c, f in recursion_data:
         row_f = rows[f]
         count = 0
-        for h in K.hom(n, a):
+        for h in out[a]:
             row_h = rows[h]
             if row_h[at_z] == c and row_h[at_s] == row_f[pos[h]]:
                 count += 1

@@ -3,9 +3,11 @@ binary and finite products, and uniqueness-up-to-unique-isomorphism
 certificates.  Initial objects and coproducts are the terminal objects and
 products of the opposite category.
 
-A product certificate records the apex with its projections and the full
-mediator table (one entry per cone), so the uniqueness claims can be
-replayed literally instead of trusted.
+The searches read the kernel by id and make names only for what they
+return.  A product certificate records the apex with its projections and
+the full mediator table (one entry per cone), so the uniqueness claims can
+be replayed literally instead of trusted.  The equational characterization
+of products is a test oracle, ``is_equational_product`` in the tests.
 """
 
 from __future__ import annotations
@@ -80,39 +82,41 @@ def terminal_iso_certificate(
         if obj not in terminals:
             raise NotTerminal(f"object {obj!r} is not terminal")
     K = C.kernel()
-    (forward,), (backward,) = K.hom(t, t_prime), K.hom(t_prime, t)
+    t, t_prime = K.object_ids[t], K.object_ids[t_prime]
+    (forward,), (backward,) = K.homs[t][t_prime], K.homs[t_prime][t]
     names, checks = K.names, []
     for g, f, end in ((backward, forward, t), (forward, backward, t_prime)):
-        round_trip, identity = K.compose(g, f), K.identity[K.object_ids[end]]
+        round_trip, identity = K.compose(g, f), K.identity[end]
         if round_trip != identity:
-            raise NotTerminal(f"composite {names[round_trip]!r} is not the identity of {end!r}")
+            raise NotTerminal(f"composite {names[round_trip]!r} is not the identity of {K.objects[end]!r}")
         checks.append(f"{names[g]}∘{names[f]} = {names[identity]}")
     return IsoCertificate(names[forward], names[backward], tuple(checks))
 
 
 def _universal_mediators(
-    K: Kernel, a: ObjectId, b: ObjectId, apex: ObjectId, p1: int, p2: int
+    K: Kernel, a: int, b: int, apex: int, p1: int, p2: int
 ) -> dict[Cone, ArrowId] | None:
-    """Mediator table for the candidate (apex, p1, p2), or None if any cone
-    has anything but exactly one mediating arrow.
+    """Mediator table for the candidate (apex, p1, p2), given by ids, or None
+    if any cone has anything but exactly one mediating arrow.
 
     Each h into the apex is filed under (p1∘h, p2∘h), read off the rows of
-    the projections; a key filed twice has two mediators."""
-    names, pos = K.names, K.pos
-    row1, row2 = K.rows[p1], K.rows[p2]
-    mediators: dict[Cone, ArrowId] = {}
-    for z in K.objects:
+    the projections; a key filed twice has two mediators.  Names are made
+    once every cone has its mediator."""
+    pos, row1, row2 = K.pos, K.rows[p1], K.rows[p2]
+    table = []
+    for z, homs in enumerate(K.homs):
         found: dict[tuple[int, int], int | None] = {}
-        for h in K.hom(z, apex):
+        for h in homs[apex]:
             key = (row1[pos[h]], row2[pos[h]])
             found[key] = None if key in found else h
-        for f in K.hom(z, a):
-            for g in K.hom(z, b):
+        for f in homs[a]:
+            for g in homs[b]:
                 h = found.get((f, g))
                 if h is None:
                     return None
-                mediators[Cone(z, names[f], names[g])] = names[h]
-    return mediators
+                table.append((z, f, g, h))
+    objects, names = K.objects, K.names
+    return {Cone(objects[z], names[f], names[g]): names[h] for z, f, g, h in table}
 
 
 def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCertificate]:
@@ -127,23 +131,21 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
     bijection from the one onto the other, whatever the projections.
     """
     K = C.kernel()
-    for x in (a, b):
-        K.object_id(x)  # an unknown name raises, though C may have no apex to try
-    certificates = []
-    cones = None
-    for apex in C.objects:
-        p1s = K.hom(apex, a)
-        p2s = K.hom(apex, b) if p1s else ()
+    a, b = K.object_id(a), K.object_id(b)  # an unknown name raises, though C may have no apex
+    homs, certificates, cones = K.homs, [], None
+    for apex, out in enumerate(homs):
+        p1s = out[a]
+        p2s = out[b] if p1s else ()
         if p2s:
             if cones is None:
-                cones = [len(K.hom(z, a)) * len(K.hom(z, b)) for z in C.objects]
-            if any(len(K.hom(z, apex)) != n for z, n in zip(C.objects, cones)):
+                cones = [len(row[a]) * len(row[b]) for row in homs]
+            if any(len(row[apex]) != n for row, n in zip(homs, cones)):
                 continue
         for p1 in p1s:
             for p2 in p2s:
                 mediators = _universal_mediators(K, a, b, apex, p1, p2)
                 if mediators is not None:
-                    cone = Cone(apex, K.names[p1], K.names[p2])
+                    cone = Cone(K.objects[apex], K.names[p1], K.names[p2])
                     certificates.append(ProductCertificate(cone, mediators))
     return certificates
 
@@ -155,31 +157,6 @@ def find_coproducts(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[Product
     return find_products(opposite(C), a, b)
 
 
-def is_equational_product(
-    C: FiniteCategory, a: ObjectId, b: ObjectId, apex: ObjectId, p1: ArrowId, p2: ArrowId
-) -> bool:
-    """The purely equational product characterization, checked standalone.
-
-    Requires (i) every cone over (a, b) admits at least one arrow commuting
-    with the projections, and (ii) distinct arrows into the apex never share
-    both projection composites, so each h equals the pairing of its own
-    components.  Agrees with the universal-property search on every category.
-    """
-    for z in C.objects:
-        into_apex = C.hom(z, apex)
-        seen: dict[tuple[ArrowId, ArrowId], ArrowId] = {}
-        for h in into_apex:
-            key = (C.compose(p1, h), C.compose(p2, h))
-            if key in seen:
-                return False
-            seen[key] = h
-        for f in C.hom(z, a):
-            for g in C.hom(z, b):
-                if (f, g) not in seen:
-                    return False
-    return True
-
-
 def verify_equational_product(C: FiniteCategory, cert: ProductCertificate) -> bool:
     """Check h = <pi1∘h, pi2∘h> for every arrow h into the certificate's apex.
 
@@ -188,9 +165,9 @@ def verify_equational_product(C: FiniteCategory, cert: ProductCertificate) -> bo
     own cone (or that cone is missing from the table).
     """
     K = C.kernel()
-    names, p1, p2 = K.names, K.arrow_id(cert.pi1), K.arrow_id(cert.pi2)
-    for z in K.objects:
-        for h in K.hom(z, cert.apex):
+    names, p1, p2, apex = K.names, K.arrow_id(cert.pi1), K.arrow_id(cert.pi2), K.object_id(cert.apex)
+    for z, homs in zip(K.objects, K.homs):
+        for h in homs[apex]:
             cone = Cone(z, names[_after(C, p1, h)], names[_after(C, p2, h)])
             if cert.mediators.get(cone) != names[h]:
                 return False
@@ -228,7 +205,7 @@ def product_iso_certificate(
     K = C.kernel()
     p1, p2, q1, q2 = map(K.arrow_id, (cert1.pi1, cert1.pi2, cert2.pi1, cert2.pi2))
     respecting = [
-        K.names[w] for w in K.hom(cert1.apex, cert2.apex)
+        K.names[w] for w in K.homs[K.object_id(cert1.apex)][K.object_id(cert2.apex)]
         if _after(C, q1, w) == p1 and _after(C, q2, w) == p2
     ]
     if respecting != [forward]:

@@ -21,7 +21,9 @@ element by element.  `validate` and `check_functoriality`
 scan every composable pair, which the kernel versions do only once the
 test on a generating set of arrows fails.  It is all slow but
 transparently correct, and the property tests compare the kernel deciders
-against it.  It is not part of the package.
+against it.  `is_equational_product` is a second characterization of
+products, by equations alone, which the tests hold against
+`find_products`.  It is not part of the package.
 
 Two departures from the old code, both where it was not deterministic or
 crashed: an unknown key of the identity table is reported in table order
@@ -207,6 +209,34 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
                         ProductCertificate(Cone(apex, p1, p2), mediators)
                     )
     return certificates
+
+
+def is_equational_product(
+    C: FiniteCategory, a: ObjectId, b: ObjectId, apex: ObjectId, p1: ArrowId, p2: ArrowId
+) -> bool:
+    """The purely equational product characterization, checked standalone.
+
+    Requires (i) every cone over (a, b) admits at least one arrow commuting
+    with the projections, and (ii) distinct arrows into the apex never share
+    both projection composites, so each h equals the pairing of its own
+    components.  The tests find it true exactly for the candidates that
+    ``fincat.universal.find_products`` certifies, on every pair of objects
+    of the fixtures, the divisibility poset and lawful categories drawn by
+    hypothesis; on unlawful tables nothing is claimed.
+    """
+    for z in C.objects:
+        into_apex = C.hom(z, apex)
+        seen: dict[tuple[ArrowId, ArrowId], ArrowId] = {}
+        for h in into_apex:
+            key = (C.compose(p1, h), C.compose(p2, h))
+            if key in seen:
+                return False
+            seen[key] = h
+        for f in C.hom(z, a):
+            for g in C.hom(z, b):
+                if (f, g) not in seen:
+                    return False
+    return True
 
 
 def find_terminals(C: FiniteCategory) -> list[ObjectId]:

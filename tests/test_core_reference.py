@@ -335,12 +335,25 @@ def test_an_apex_with_too_few_arrows_in_is_not_searched(monkeypatch):
     search = universal._universal_mediators
 
     def spy(K, a, b, apex, p1, p2):
-        searched.append(apex)
+        searched.append(K.objects[apex])
         return search(K, a, b, apex, p1, p2)
 
     monkeypatch.setattr(universal, "_universal_mediators", spy)
     assert_certificates_equal(find_products(C, "S0", "S1"), ref.find_products(C, "S0", "S1"))
     assert "S0" not in searched and "S1" in searched
+
+
+@SETTINGS
+@given(lawful_categories)
+def test_equational_products_are_exactly_the_certified_ones(C):
+    for a in C.objects:
+        for b in C.objects:
+            found = {(c.apex, c.pi1, c.pi2) for c in find_products(C, a, b)}
+            for apex in C.objects:
+                for p1 in C.hom(apex, a):
+                    for p2 in C.hom(apex, b):
+                        equational = ref.is_equational_product(C, a, b, apex, p1, p2)
+                        assert equational == ((apex, p1, p2) in found), (a, b, apex, p1, p2)
 
 
 @SETTINGS
@@ -551,6 +564,18 @@ def test_predicates_match_the_reference(C, data):
         old = outcome(lambda: getattr(ref, name)(C, f, budget))
         event(f"{name}: {new[0] if new[0] == 'raised' else 'found' if new[1] else 'none'}")
         assert new == old
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_finset([NamedFiniteSet("S1", ("x0",)), NamedFiniteSet("S2", ("x0", "x1"))]),
+    lambda: poset_as_category(FinitePoset.chain(["a", "b", "c"])),
+    lambda: build_mat(2, 2),
+], ids=["finset", "poset", "mat"])
+def test_find_inverse_builds_no_opposite(make):
+    C = make()
+    for f in C.all_arrows():
+        core.find_inverse(C, f)
+    assert C.kernel()._op is None
 
 
 MAT_SIZES = [(2, 1), (2, 2), (3, 1), (3, 2)]

@@ -16,10 +16,11 @@ from functools import cached_property
 import pytest
 
 from fincat import cli
-from fincat.builders import FinSetCategory, NamedFiniteSet, build_finset
-from fincat.core import FiniteCategory, Violation
+from fincat.builders import FinSetCategory, NamedFiniteSet, build_finset, poset_as_category
+from fincat.core import FiniteCategory, Violation, opposite
 from fincat.errors import FrozenInstanceError, record
 from fincat.formulas import Atom, Not
+from fincat.galois import FinitePoset
 from fincat.universal import Cone
 
 
@@ -85,6 +86,19 @@ def shapes(frozen) -> dict[str, type]:
                 return NotImplemented
             return (self.objects, self.arrows) == (other.objects, other.arrows)
 
+    @frozen
+    class HashedTable:
+        objects: tuple
+        arrows: tuple
+
+        def __eq__(self, other):
+            if not isinstance(other, HashedTable):
+                return NotImplemented
+            return (self.objects, self.arrows) == (other.objects, other.arrows)
+
+        def __hash__(self):
+            return hash((self.objects, len(self.arrows)))
+
     @frozen(eq=False)
     class NamedTable(Table):
         sets: tuple
@@ -94,7 +108,8 @@ def shapes(frozen) -> dict[str, type]:
             return len(self.sets)
 
     return {cls.__name__: cls for cls in (
-        Plain, SameFields, Single, Defaults, PostInit, Rows, Function, Table, NamedTable,
+        Plain, SameFields, Single, Defaults, PostInit, Rows, Function, Table, HashedTable,
+        NamedTable,
     )}
 
 
@@ -110,6 +125,7 @@ SAMPLES = [
     ("Rows", ("X", [(1, 2), (0, 1)]), {}), ("Rows", ("X", [(0, 1)]), {}),
     ("Function", ("X", {0: 1}), {}), ("Function", ("X", {}), {}),
     ("Table", (("A",), ("f",)), {}), ("Table", (("A",), ()), {}),
+    ("HashedTable", (("A",), ("f",)), {}), ("HashedTable", (("A",), ("g",)), {}),
     ("NamedTable", (("A",), ("f",), ("S",)), {}), ("NamedTable", (("A",), ("f",), ()), {}),
 ]
 
@@ -203,6 +219,18 @@ def test_builder_categories_are_records_over_the_kernel_fields_then_their_own():
     assert FinSetCategory.__hash__ is FiniteCategory.__hash__
     with pytest.raises(FrozenInstanceError, match="cannot assign to field 'sets'"):
         C.sets = {}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_finset([NamedFiniteSet("One", ("*",)), NamedFiniteSet("Two", ("0", "1"))]),
+    lambda: poset_as_category(FinitePoset.chain(["a", "b", "c"])),
+], ids=["finset", "poset"])
+def test_equal_categories_hash_equal(make):
+    C = make()
+    copy = FiniteCategory(C.objects, tuple(C.arrows), dict(C.identities), dict(C.composition))
+    assert C == opposite(opposite(C)) == copy
+    assert hash(C) == hash(opposite(opposite(C))) == hash(copy)
+    assert len({C, opposite(opposite(C)), copy}) == 1
 
 
 def test_a_cli_report_is_frozen():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from reference_core import is_equational_product
 from fincat.builders import (
     FiniteMonoid,
     NamedFiniteSet,
@@ -19,7 +20,6 @@ from fincat.universal import (
     find_products,
     find_terminals,
     finite_product,
-    is_equational_product,
     product_iso_certificate,
     terminal_iso_certificate,
     verify_equational_product,
