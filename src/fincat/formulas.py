@@ -84,160 +84,137 @@ _PREFIXES = {"!": Not, "box": Box, "dia": Dia}
 
 #: The deepest formula :func:`parse_formula` accepts.  The parser goes one
 #: level down for a prefix operator or the right side of ``->``, four for a
-#: quantifier body (implication, disjunction, conjunction and the prefixes
-#: each take a call) and five for a parenthesised group; and no atom may sit
-#: under more than this many operators, as the evaluators recurse once per
-#: operator.  Both then stay well inside Python's default recursion limit.
+#: quantifier body and five for a parenthesised group, never fewer than the
+#: Python frames each takes; and no atom may sit under more than this many
+#: operators, as the evaluators recurse once per operator.  Both then stay
+#: well inside Python's default recursion limit.
 MAX_DEPTH = 900
+_TOO_DEEP = f"formula nested deeper than {MAX_DEPTH} levels"
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<punct>[()!&|,.])|(?P<name>[A-Za-z_][A-Za-z_0-9]*))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            pos = len(text) - len(rest)
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        if match.lastgroup == "arrow":
-            tokens.append(("->", "->", match.start()))
-        elif match.lastgroup == "punct":
-            tok = match.group("punct")
-            tokens.append((tok, tok, match.start()))
-        else:
-            name = match.group("name")
-            kind = name if name in _KEYWORDS else "name"
-            tokens.append((kind, name, match.start()))
-        pos = match.end()
-    return tokens
+#: One token per match: an arrow, a punctuation mark, a name, or (group 4)
+#: a character no token starts with.
+_TOKEN = re.compile(r"\s*(?:(->)|([()!&|,.])|([A-Za-z_][A-Za-z_0-9]*)|(\S))")
+_VARIABLE = re.compile(r"v([0-9]+)")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
+class _Descent:
+    """Recursive descent over token lists read by index; ``kinds`` ends in
+    None.  Each rule takes its nesting level and returns (node, tree depth)."""
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+    def __init__(self, kinds: list[str | None], words: list[str], starts: list[int]):
+        self.kinds, self.words, self.starts, self.i = kinds, words, starts, 0
 
-    def next(self) -> tuple[str, str, int]:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of formula")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expected(self, kind: str) -> ParseError:
+        i = self.i
+        if self.kinds[i] is None:
+            return ParseError("unexpected end of formula")
+        return ParseError(f"expected {kind!r} but found {self.words[i]!r} at position {self.starts[i]}")
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(
-                f"expected {kind!r} but found {tok[1]!r} at position {tok[2]}"
-            )
-        return tok
+    def implies(self, level: int) -> tuple[Formula, int]:
+        left, depth = self.disjunction(level)
+        if self.kinds[self.i] != "->":
+            return left, depth
+        self.i += 1
+        if level + 1 > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP)
+        right, right_depth = self.implies(level + 1)
+        return Implies(left, right), (depth if depth > right_depth else right_depth) + 1
 
-    def nest(self, levels: int) -> None:
-        """Go ``levels`` parser levels down, or raise beyond MAX_DEPTH."""
-        self.depth += levels
-        if self.depth > MAX_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels")
+    def disjunction(self, level: int) -> tuple[Formula, int]:
+        left, depth = self.conjunction(level)
+        while self.kinds[self.i] == "|":
+            self.i += 1
+            right, right_depth = self.conjunction(level)
+            left, depth = Or(left, right), (depth if depth > right_depth else right_depth) + 1
+        return left, depth
 
-    def parse(self) -> Formula:
-        formula = self.implies()
-        if self.pos != len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise ParseError(f"trailing input {tok[1]!r} at position {tok[2]}")
-        return formula
+    def conjunction(self, level: int) -> tuple[Formula, int]:
+        left, depth = self.unary(level)
+        while self.kinds[self.i] == "&":
+            self.i += 1
+            right, right_depth = self.unary(level)
+            left, depth = And(left, right), (depth if depth > right_depth else right_depth) + 1
+        return left, depth
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.next()
-            self.nest(1)
-            right = self.implies()
-            self.depth -= 1
-            return Implies(left, right)
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek() == "|":
-            self.next()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek() == "&":
-            self.next()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        kind = self.peek()
+    def unary(self, level: int) -> tuple[Formula, int]:
+        i = self.i
+        kind = self.kinds[i]
         if kind in _PREFIXES:
-            self.next()
-            self.nest(1)
-            body = self.unary()
-            self.depth -= 1
-            return _PREFIXES[kind](body)
-        if kind in ("forall", "exists"):
-            _, word, _ = self.next()
+            self.i = i + 1
+            if level + 1 > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP)
+            body, depth = self.unary(level + 1)
+            return _PREFIXES[kind](body), depth + 1
+        if kind == "forall" or kind == "exists":
+            self.i = i + 1
             var = self.variable()
-            self.expect(".")
-            self.nest(4)
-            body = self.implies()
-            self.depth -= 4
-            return Forall(var, body) if word == "forall" else Exists(var, body)
-        return self.primary()
+            if self.kinds[self.i] != ".":
+                raise self.expected(".")
+            self.i += 1
+            if level + 4 > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP)
+            body, depth = self.implies(level + 4)
+            return (Forall if kind == "forall" else Exists)(var, body), depth + 1
+        if kind == "(":
+            self.i = i + 1
+            if level + 5 > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP)
+            inner, depth = self.implies(level + 5)
+            if self.kinds[self.i] != ")":
+                raise self.expected(")")
+            self.i += 1
+            return inner, depth
+        if kind != "name":
+            raise self.expected("name")
+        if self.kinds[i + 1] != "(":
+            self.i = i + 1
+            return Atom(self.words[i]), 1
+        self.i = i + 2
+        args = [self.variable()]
+        while self.kinds[self.i] == ",":
+            self.i += 1
+            args.append(self.variable())
+        if self.kinds[self.i] != ")":
+            raise self.expected(")")
+        self.i += 1
+        return Atom(self.words[i], tuple(args)), 1
 
     def variable(self) -> int:
-        tok = self.expect("name")
-        match = re.fullmatch(r"v([0-9]+)", tok[1])
+        i = self.i
+        if self.kinds[i] != "name":
+            raise self.expected("name")
+        word = self.words[i]
+        match = _VARIABLE.fullmatch(word)
         if match is None:
-            raise ParseError(
-                f"expected a variable like v1 but found {tok[1]!r} at position {tok[2]}"
-            )
-        index = int(match.group(1))
-        if index == 0:
+            raise ParseError(f"expected a variable like v1 but found {word!r} at position {self.starts[i]}")
+        index = int(match[1])
+        if not index:
             raise ParseError("variables are numbered from v1")
+        self.i = i + 1
         return index
-
-    def primary(self) -> Formula:
-        kind = self.peek()
-        if kind == "(":
-            self.next()
-            self.nest(5)
-            inner = self.implies()
-            self.depth -= 5
-            self.expect(")")
-            return inner
-        tok = self.expect("name")
-        if self.peek() == "(":
-            self.next()
-            args = [self.variable()]
-            while self.peek() == ",":
-                self.next()
-                args.append(self.variable())
-            self.expect(")")
-            return Atom(tok[1], tuple(args))
-        return Atom(tok[1])
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the documented syntax into a formula tree; a formula nested
-    deeper than :data:`MAX_DEPTH` raises ParseError."""
-    formula = _Parser(text).parse()
-    if formula_depth(formula) - 1 > MAX_DEPTH:
-        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels")
+    """Parse the documented syntax into a formula tree: one scan for the
+    tokens, then one descent.  A formula nested deeper than
+    :data:`MAX_DEPTH` raises ParseError."""
+    kinds, words, starts = [], [], []
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group == 4:
+            raise ParseError(f"unexpected character {match[4]!r} at position {match.start(4)}")
+        word = match[group]
+        kinds.append("name" if group == 3 and word not in _KEYWORDS else word)
+        words.append(word)
+        starts.append(match.start(group))
+    end = len(kinds)
+    kinds.append(None)
+    descent = _Descent(kinds, words, starts)
+    formula, depth = descent.implies(0)
+    if descent.i != end:
+        raise ParseError(f"trailing input {words[descent.i]!r} at position {starts[descent.i]}")
+    if depth - 1 > MAX_DEPTH:
+        raise ParseError(_TOO_DEEP)
     return formula
 
 
@@ -268,16 +245,3 @@ def formula_to_text(formula: Formula) -> str:
             right = f"({right})"
         return left + _SYMBOLS[type(formula)] + right
     raise TypeError(f"not a formula: {formula!r}")
-
-
-def formula_depth(formula: Formula) -> int:
-    """Tree depth with atoms at depth 1, found without recursion."""
-    deepest, stack = 0, [(formula, 1)]
-    while stack:
-        node, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if isinstance(node, (Not, Box, Dia, Forall, Exists)):
-            stack.append((node.body, depth + 1))
-        elif not isinstance(node, Atom):
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
-    return deepest

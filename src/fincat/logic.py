@@ -234,23 +234,32 @@ class KripkeFrame:
 
 def eval_modal(frame: KripkeFrame, formula: Formula) -> SubsetOf:
     """Worlds satisfying the formula; dia is the ¬[R]¬ dual of box."""
+    full = _full(frame.worlds)
+    return _subset(frame.worlds, _modal(frame, frame.access.rows, full, formula))
+
+
+def _modal(frame: KripkeFrame, rows: tuple[int, ...], full: int, formula: Formula) -> int:
+    """The mask of the worlds satisfying the formula."""
     if isinstance(formula, Atom):
         if formula.args:
             raise UnknownAtom(f"modal atoms are propositional, got {formula.name!r} with arguments")
-        return frame.atom_set(formula.name)
+        value = frame.atom_set(formula.name)
+        if value.universe is not frame.worlds and value.universe != frame.worlds:
+            raise UniverseMismatch(f"valuation of {formula.name!r} is not over the worlds")
+        return value.mask
     if isinstance(formula, Not):
-        return eval_modal(frame, formula.body).complement()
+        return full & ~_modal(frame, rows, full, formula.body)
     if isinstance(formula, And):
-        return eval_modal(frame, formula.left).intersect(eval_modal(frame, formula.right))
+        return _modal(frame, rows, full, formula.left) & _modal(frame, rows, full, formula.right)
     if isinstance(formula, Or):
-        return eval_modal(frame, formula.left).union(eval_modal(frame, formula.right))
+        return _modal(frame, rows, full, formula.left) | _modal(frame, rows, full, formula.right)
     if isinstance(formula, Implies):
-        left, right = eval_modal(frame, formula.left), eval_modal(frame, formula.right)
-        return boolean_implication(left, right)
+        left = _modal(frame, rows, full, formula.left)
+        return _implies(full, left, _modal(frame, rows, full, formula.right))
     if isinstance(formula, Box):
-        return box(frame.access, eval_modal(frame, formula.body))
+        return _box(rows, _modal(frame, rows, full, formula.body))
     if isinstance(formula, Dia):
-        return box(frame.access, eval_modal(frame, formula.body).complement()).complement()
+        return full & ~_box(rows, full & ~_modal(frame, rows, full, formula.body))
     raise UnknownAtom(f"quantifiers are not modal operators: {formula!r}")
 
 

@@ -286,6 +286,10 @@ class TestVerbs:
         code, out = invoke("modal-eval", FIXTURES / "frame.json", "--formula", "p & $q")
         assert (code, out) == (2, "error: unexpected character '$' at position 4\n")
 
+    def test_fo_eval_names_trailing_input_at_its_position(self):
+        code, out = invoke("fo-eval", FIXTURES / "structure.json", "--formula", "p q", "--context", "0")
+        assert (code, out) == (2, "error: trailing input 'q' at position 2\n")
+
     def test_fo_eval(self):
         code, out = invoke(
             "fo-eval",

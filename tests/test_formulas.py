@@ -10,10 +10,11 @@ from fincat.formulas import (
     Implies,
     Not,
     Or,
-    formula_depth,
     formula_to_text,
     parse_formula,
 )
+
+from reference_formulas import formula_depth
 
 
 class TestParsing:
@@ -54,6 +55,23 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_formula(text)
         assert str(err.value) == f"unexpected character '$' at position {position}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p q", "trailing input 'q' at position 2"),
+            ("p &   & q", "expected 'name' but found '&' at position 6"),
+            ("forall   x. p", "expected a variable like v1 but found 'x' at position 9"),
+            ("E(v1  v2)", "expected ')' but found 'v2' at position 6"),
+            ("exists v1  p", "expected '.' but found 'p' at position 11"),
+            ("forall v0. p", "variables are numbered from v1"),
+            ("box (p |", "unexpected end of formula"),
+        ],
+    )
+    def test_errors_name_the_token_at_its_own_position(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
 
     def test_trailing_whitespace_is_not_an_error(self):
         assert parse_formula("p & q \t\n") == And(Atom("p"), Atom("q"))

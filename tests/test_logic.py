@@ -223,6 +223,28 @@ class TestModalEvaluation:
         with pytest.raises(UnknownAtom):
             eval_modal(frame, parse_formula("box r"))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p & box !r", "no valuation for atom 'r'"),
+            ("q -> dia (p | E(v1))", "modal atoms are propositional, got 'E' with arguments"),
+            (
+                "!box (p & forall v1. q)",
+                "quantifiers are not modal operators: Forall(var=1, body=Atom(name='q', args=()))",
+            ),
+        ],
+    )
+    def test_errors_from_inside_a_formula(self, frame, text, message):
+        with pytest.raises(UnknownAtom) as caught:
+            eval_modal(frame, parse_formula(text))
+        assert str(caught.value) == message
+
+    def test_a_valuation_changed_after_construction_is_refused(self, frame):
+        frame.valuation["s"] = SubsetOf.of(NamedFiniteSet("V", ("a", "b", "c")), ["c"])
+        with pytest.raises(UniverseMismatch) as caught:
+            eval_modal(frame, parse_formula("p | !s"))
+        assert str(caught.value) == "valuation of 's' is not over the worlds"
+
 
 class TestBooleanImplication:
     def test_self_implication_is_the_universe(self):
