@@ -6,13 +6,15 @@ products of the opposite category.
 The searches read the kernel by id and make names only for what they
 return.  A product certificate records the apex with its projections and
 the full mediator table (one entry per cone), so the uniqueness claims can
-be replayed literally instead of trusted.  The equational characterization
+be replayed literally instead of trusted.  The table keeps mediator ids and
+makes a name only when an entry is read.  The equational characterization
 of products is a test oracle, ``is_equational_product`` in the tests.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
+from functools import cache
 
 from .core import ArrowId, FiniteCategory, Kernel, ObjectId, opposite
 from .errors import NotAProduct, NotTerminal, record
@@ -29,7 +31,11 @@ class Cone:
 
 @record
 class ProductCertificate:
-    """An apex-with-projections plus the mediator of every cone over (A, B)."""
+    """An apex-with-projections plus the mediator of every cone over (A, B).
+
+    A search hands over a read-only mediator table, named on read: a cone is
+    looked up in an index that all certificates of the pair share, and only
+    the mediator read is named.  ``dict(cert.mediators)`` is a plain copy."""
 
     cone: Cone
     mediators: Mapping[Cone, ArrowId]
@@ -93,30 +99,53 @@ def terminal_iso_certificate(
     return IsoCertificate(names[forward], names[backward], tuple(checks))
 
 
+class _MediatorTable(Mapping):
+    """Mediator ids in cone order over the ``{Cone: position}`` index that
+    ``index()`` makes once for the pair; each read makes one name."""
+
+    __slots__ = ("_index", "_ids", "_names")
+
+    def __init__(self, index, ids: list[int], names: tuple[ArrowId, ...]):
+        self._index, self._ids, self._names = index, ids, names
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self):
+        return iter(self._index())
+
+    def __getitem__(self, cone: Cone) -> ArrowId:
+        return self._names[self._ids[self._index()[cone]]]
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def _universal_mediators(
     K: Kernel, a: int, b: int, apex: int, p1: int, p2: int
-) -> dict[Cone, ArrowId] | None:
-    """Mediator table for the candidate (apex, p1, p2), given by ids, or None
-    if any cone has anything but exactly one mediating arrow.
+) -> list[int] | None:
+    """The mediator ids of the candidate (apex, p1, p2), in cone order, or
+    None if any cone has anything but exactly one mediating arrow.
 
     Each h into the apex is filed under (p1∘h, p2∘h), read off the rows of
-    the projections; a key filed twice has two mediators.  Names are made
-    once every cone has its mediator."""
-    pos, row1, row2 = K.pos, K.rows[p1], K.rows[p2]
+    the projections as the number (p1∘h) * |arrows| + p2∘h; a key filed
+    twice has two mediators.  No name is made."""
+    n, pos, row1, row2 = len(K.names), K.pos, K.rows[p1], K.rows[p2]
     table = []
-    for z, homs in enumerate(K.homs):
-        found: dict[tuple[int, int], int | None] = {}
+    for homs in K.homs:
+        found: dict[int, int | None] = {}
         for h in homs[apex]:
-            key = (row1[pos[h]], row2[pos[h]])
+            at = pos[h]
+            key = row1[at] * n + row2[at]
             found[key] = None if key in found else h
         for f in homs[a]:
+            f *= n
             for g in homs[b]:
-                h = found.get((f, g))
+                h = found.get(f + g)
                 if h is None:
                     return None
-                table.append((z, f, g, h))
-    objects, names = K.objects, K.names
-    return {Cone(objects[z], names[f], names[g]): names[h] for z, f, g, h in table}
+                table.append(h)
+    return table
 
 
 def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCertificate]:
@@ -132,7 +161,13 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
     """
     K = C.kernel()
     a, b = K.object_id(a), K.object_id(b)  # an unknown name raises, though C may have no apex
-    homs, certificates, cones = K.homs, [], None
+    homs, objects, names, certificates, cones = K.homs, K.objects, K.names, [], None
+
+    @cache
+    def index() -> dict[Cone, int]:  # made on the first read of any table, once for all
+        keys = ((z, f, g) for z, row in enumerate(homs) for f in row[a] for g in row[b])
+        return {Cone(objects[z], names[f], names[g]): n for n, (z, f, g) in enumerate(keys)}
+
     for apex, out in enumerate(homs):
         p1s = out[a]
         p2s = out[b] if p1s else ()
@@ -143,10 +178,10 @@ def find_products(C: FiniteCategory, a: ObjectId, b: ObjectId) -> list[ProductCe
                 continue
         for p1 in p1s:
             for p2 in p2s:
-                mediators = _universal_mediators(K, a, b, apex, p1, p2)
-                if mediators is not None:
-                    cone = Cone(K.objects[apex], K.names[p1], K.names[p2])
-                    certificates.append(ProductCertificate(cone, mediators))
+                ids = _universal_mediators(K, a, b, apex, p1, p2)
+                if ids is not None:
+                    cone = Cone(objects[apex], names[p1], names[p2])
+                    certificates.append(ProductCertificate(cone, _MediatorTable(index, ids, names)))
     return certificates
 
 

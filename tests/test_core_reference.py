@@ -287,9 +287,10 @@ def test_validate_matches_the_reference_on_associativity_breaks(C):
 
 
 def assert_certificates_equal(new, old):
-    assert new == old
+    assert new == old and old == new
     for a, b in zip(new, old):
         assert list(a.mediators.items()) == list(b.mediators.items())
+        assert len(a.mediators) == len(b.mediators) and repr(a) == repr(b)
 
 
 @st.composite

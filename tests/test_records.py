@@ -15,13 +15,14 @@ from functools import cached_property
 
 import pytest
 
+import reference_core as ref
 from fincat import cli
 from fincat.builders import FinSetCategory, NamedFiniteSet, build_finset, poset_as_category
 from fincat.core import FiniteCategory, Violation, opposite
 from fincat.errors import FrozenInstanceError, record
 from fincat.formulas import Atom, Not
 from fincat.galois import FinitePoset
-from fincat.universal import Cone
+from fincat.universal import Cone, find_products
 
 
 def frozen_dataclass(cls=None, /, **options):
@@ -209,6 +210,16 @@ def test_public_values_keep_their_repr_and_hash():
     assert str(inspect.signature(Cone)) == "(apex: 'ObjectId', left: 'ArrowId', right: 'ArrowId') -> None"
     assert str(inspect.signature(Violation)) == (
         "(law: 'str', witnesses: 'tuple[ArrowId, ...]', detail: 'str' = '') -> None"
+    )
+
+
+def test_a_product_certificate_reads_as_its_eager_form():
+    C = build_finset([NamedFiniteSet("One", ("*",)), NamedFiniteSet("Two", ("0", "1"))])
+    (cert,), (eager,) = find_products(C, "One", "One"), ref.find_products(C, "One", "One")
+    assert repr(cert) == repr(eager) == (
+        "ProductCertificate(cone=Cone(apex='One', left='One->One{*:*}', right='One->One{*:*}'), "
+        "mediators={Cone(apex='One', left='One->One{*:*}', right='One->One{*:*}'): 'One->One{*:*}', "
+        "Cone(apex='Two', left='Two->One{0:*,1:*}', right='Two->One{0:*,1:*}'): 'Two->One{0:*,1:*}'})"
     )
 
 

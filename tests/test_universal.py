@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
+import reference_core as ref
 from reference_core import is_equational_product
 from fincat.builders import (
     FiniteMonoid,
     NamedFiniteSet,
     build_finset,
+    build_mat,
     monoid_as_category,
     poset_as_category,
 )
@@ -161,6 +163,88 @@ class TestBinaryProducts:
         for C, a, b, unknown in [(empty, "a", "b", "a"), (one, "a", "b", "b"), (one, "c", "a", "c")]:
             with pytest.raises(UnknownObject, match=f"^unknown object '{unknown}'$"):
                 search(C, a, b)
+
+
+class TestProductsOfMatrices:
+    """In the category of matrices over Z_p with dimensions up to 2, the
+    products of (1, 1) are the plane with the two rows of an invertible
+    matrix as projections: |GL_2(Z_p)| = (p^2 - 1)(p^2 - p) certificates."""
+
+    def test_the_plane_over_z3_has_one_certificate_per_invertible_matrix(self):
+        C = build_mat(3, 2)
+        certs = find_products(C, "1", "1")
+        assert len(certs) == (9 - 1) * (9 - 3) == 48
+        assert {c.apex for c in certs} == {"2"}
+        # one cone from dimension z for each pair of 1 x z matrices: 3^z * 3^z
+        assert [len(c.mediators) for c in certs] == [1 + 9 + 81] * 48
+        assert all(verify_equational_product(C, c) for c in certs)
+
+    def test_the_plane_over_z2(self):
+        assert len(find_products(build_mat(2, 2), "1", "1")) == (4 - 1) * (4 - 2) == 6
+
+    def test_a_line_and_a_plane_have_no_product_below_dimension_three(self):
+        assert find_products(build_mat(3, 2), "1", "2") == []
+
+
+@pytest.fixture(scope="module")
+def certified(finset_with_four, divisibility):
+    """Certificates of the search and of the eager reference on several
+    pairs, with a cone that lies over another pair of each category."""
+    pairs = [
+        (finset_with_four.category, ("Two", "Two"), ("One", "Two")),
+        (finset_with_four.category, ("One", "Two"), ("Two", "Two")),
+        (divisibility[1], ("2", "3"), ("2", "6")),
+        (build_mat(2, 2), ("1", "1"), ("0", "1")),
+    ]
+    return [
+        (find_products(C, *pair), ref.find_products(C, *pair), find_products(C, *other)[0].cone)
+        for C, pair, other in pairs
+    ]
+
+
+class TestMediatorTables:
+    def test_the_tables_read_as_the_eager_reference(self, certified):
+        for new, old, _ in certified:
+            assert new and new == old and old == new
+            for got, want in zip(new, old):
+                assert list(got.mediators.items()) == list(want.mediators.items())
+                assert got.mediators == want.mediators and want.mediators == got.mediators
+                assert len(got.mediators) == len(want.mediators)
+                assert all(cone in got.mediators for cone in want.mediators)
+                assert repr(got) == repr(want) and repr(got.mediators) == repr(want.mediators)
+
+    def test_a_cone_over_another_pair_is_not_in_the_table(self, certified):
+        for new, old, foreign in certified:
+            for got, want in zip(new, old):
+                assert foreign not in got.mediators and foreign not in want.mediators
+                assert got.mediators.get(foreign) is None
+                with pytest.raises(KeyError):
+                    got.mediators[foreign]
+
+    def test_a_table_cannot_be_rewritten(self, finset_with_four):
+        C = finset_with_four.category
+        first, other = find_products(C, "Two", "Two")[:2]
+        cone = next(iter(first.mediators))
+        mediator = first.mediators[cone]
+        with pytest.raises(TypeError):
+            first.mediators[cone] = "x"
+        with pytest.raises(TypeError):
+            del first.mediators[cone]
+        assert first.mediators[cone] == mediator
+        assert verify_equational_product(C, first)
+        assert product_iso_certificate(C, first, other).forward == other.mediators[first.cone]
+
+    def test_dict_of_a_table_is_an_independent_copy(self, finset_with_four):
+        cert = find_products(finset_with_four.category, "Two", "Two")[0]
+        copy = dict(cert.mediators)
+        assert type(copy) is dict and copy == cert.mediators
+        first, *_, last = copy
+        mediator = copy[first]
+        copy[first] = "x"
+        del copy[last]
+        assert cert.mediators[first] == mediator and last in cert.mediators
+        assert len(cert.mediators) == len(copy) + 1
+        assert dict(cert.mediators) == ref.find_products(finset_with_four.category, "Two", "Two")[0].mediators
 
 
 def five_arrow_counterexample():
