@@ -11,16 +11,20 @@ positions; ``leq`` and ``graph`` are made on read.  Checks take whole rows:
 ``from_relation`` closes in one pass over a topological order (Purdom), each
 row must be the OR of the rows it selects, and ``downs`` and the preimages
 along a map are transposes.  With m related pairs among n elements, ``_dense``
-picks walking the set bits (O(m) Python steps) or scanning the n² digits.
+picks walking the set bits (O(m) Python steps) or scanning the n² digits; a
+scan transposes in one conversion, reading the joined columns of the digit
+table as one integer and cutting the columns out of its bytes.  A least member
+is picked by descent: from the lowest member of the mask, step down to another
+member until none is below, then one subset test (the greatest: step up).
+Grid labels, floors and ceilings are integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 from itertools import compress, product
-from operator import and_, or_
+from operator import eq, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AdjunctionFails, InvalidPoset, NotMonotone, UnknownElement, record
@@ -70,8 +74,10 @@ def _transpose(rows: Sequence[int], width: int, truths: bytes = b"") -> list[int
     """The column masks of a bit matrix: bit i of column j is bit j of ``rows[i]``;
     ``truths``, if given, is ``_truths(rows, width)``."""
     if truths or _dense(sum(map(int.bit_count, rows)), len(rows), width):
-        truths = truths or _truths(rows, width)
-        return [mask_of(truths[j::width]) for j in range(width)]
+        truths, size = truths or _truths(rows, width), len(rows) + 7 >> 3  # bytes per column
+        table = mask_of(bytes(8 * size - len(rows)).join([truths[j::width] for j in range(width)]))
+        cut = table.to_bytes(size * width, "little")  # column j, padded to whole bytes, at byte j * size
+        return [int.from_bytes(cut[k:k + size], "little") for k in range(0, size * width, size)]
     cols = [0] * width
     for i, row in enumerate(rows):
         bit = 1 << i
@@ -214,27 +220,36 @@ class FinitePoset:
         """The elements of ``mask`` in element order."""
         return tuple(select(self.elements, mask))
 
-    def _pick(self, mask: int, bounds: tuple[int, ...]) -> int | None:
-        """The position of the member of ``mask`` bounding all of it: least if ``bounds`` are downs."""
-        found = reduce(and_, select(bounds, mask), mask)
-        return (found & -found).bit_length() - 1 if found else None
+    def _pick(self, mask: int, below: tuple[int, ...], above: tuple[int, ...]) -> int | None:
+        """The position of the member of ``mask`` bounding all of it, if any: the least when
+        ``below``, ``above`` are downs, ups, the greatest when they are ups, downs.  From the
+        lowest member, step to the last other member below until there is none (antisymmetry
+        ends the walk): a least member is the only minimal one, so one subset test decides."""
+        if not mask:
+            return None
+        i = (mask & -mask).bit_length() - 1
+        while rest := below[i] & mask & ~(1 << i):
+            i = rest.bit_length() - 1
+        return None if mask & ~above[i] else i
 
     def _name(self, i: int | None) -> Element | None:
         return None if i is None else self.elements[i]
 
     def least_of(self, subset: Iterable[Element]) -> Element | None:
         """The least element of ``subset`` within this order, if any."""
-        return self._name(self._pick(self.mask(subset), self.downs))
+        return self._name(self._pick(self.mask(subset), self.downs, self.ups))
 
     def greatest_of(self, subset: Iterable[Element]) -> Element | None:
-        return self._name(self._pick(self.mask(subset), self.ups))
+        return self._name(self._pick(self.mask(subset), self.ups, self.downs))
 
     def glb(self, x: Element, y: Element) -> Element | None:
         """Greatest lower bound of x and y, if any."""
-        return self._name(self._pick(self.downs[self.position(x)] & self.downs[self.position(y)], self.ups))
+        common = self.downs[self.position(x)] & self.downs[self.position(y)]
+        return self._name(self._pick(common, self.ups, self.downs))
 
     def lub(self, x: Element, y: Element) -> Element | None:
-        return self._name(self._pick(self.ups[self.position(x)] & self.ups[self.position(y)], self.downs))
+        common = self.ups[self.position(x)] & self.ups[self.position(y)]
+        return self._name(self._pick(common, self.downs, self.ups))
 
 
 @record(init=False)
@@ -321,7 +336,7 @@ class Approximation:
 def approximation_report(g: MonotoneMap, x: Element) -> Approximation:
     """All y in dom(g) with x <= g(y), and the least such y when it exists."""
     above = mask_of(g.cod.ups[g.cod.position(x)] >> c & 1 for c in g.image)
-    least = g.dom._name(g.dom._pick(above, g.dom.downs))
+    least = g.dom._name(g.dom._pick(above, g.dom.downs, g.dom.ups))
     status = "found" if least is not None else "no-least" if above else "empty"
     return Approximation(x, g.dom.members(above), least, status)
 
@@ -334,24 +349,27 @@ def best_approximation(g: MonotoneMap, x: Element) -> Element | None:
 def greatest_below(f: MonotoneMap, z: Element) -> Element | None:
     """The greatest x with f(x) <= z, or None: the right adjoint's value at z."""
     below = mask_of(f.cod.downs[f.cod.position(z)] >> c & 1 for c in f.image)
-    return f.dom._name(f.dom._pick(below, f.dom.ups))
+    return f.dom._name(f.dom._pick(below, f.dom.ups, f.dom.downs))
 
 
-def _pointwise(m: MonotoneMap, rows: tuple[int, ...], bounds: tuple[int, ...]) -> MonotoneMap | None:
-    """The map cod -> dom picking by ``bounds`` in the preimage along ``m`` of each
-    codomain up-set (``rows`` = cod.downs) or down-set (cod.ups), if total and monotone."""
-    image = tuple(m.dom._pick(mask, bounds) for mask in _preimages(m.image, rows))
+def _pointwise(
+    m: MonotoneMap, rows: tuple[int, ...], below: tuple[int, ...], above: tuple[int, ...]
+) -> MonotoneMap | None:
+    """The map cod -> dom picking by ``below`` and ``above`` (see ``_pick``) in the preimage
+    along ``m`` of each codomain up-set (``rows`` = cod.downs) or down-set (cod.ups), if
+    total and monotone."""
+    image = tuple(m.dom._pick(mask, below, above) for mask in _preimages(m.image, rows))
     return None if None in image else MonotoneMap._from_image(m.cod, m.dom, image)
 
 
 def left_adjoint(g: MonotoneMap) -> MonotoneMap | None:
     """The map f with x <= g(z) iff f(x) <= z, if every x has a best approximant."""
-    return _pointwise(g, g.cod.downs, g.dom.downs)
+    return _pointwise(g, g.cod.downs, g.dom.downs, g.dom.ups)
 
 
 def right_adjoint(f: MonotoneMap) -> MonotoneMap | None:
     """The map g with f(x) <= z iff x <= g(z): g(z) is the greatest x with f(x) <= z."""
-    return _pointwise(f, f.cod.ups, f.dom.ups)
+    return _pointwise(f, f.cod.ups, f.dom.ups, f.dom.downs)
 
 
 def adjunction_witness(f: MonotoneMap, g: MonotoneMap) -> tuple[Element, Element] | None:
@@ -370,26 +388,23 @@ def adjunction_witness(f: MonotoneMap, g: MonotoneMap) -> tuple[Element, Element
 def unit_counit_violations(f: MonotoneMap, g: MonotoneMap) -> tuple[str, ...]:
     """Violated laws among: id <= g∘f, f∘g <= id, f∘g∘f = f, g∘f∘g = g.
 
-    Function order is pointwise; each law is checked element by element and
-    reported by name with its first failing element.
+    Function order is pointwise; each law is tested on the whole image lists of
+    the composites and reported by name with its first failing element.
     """
     P, Q = f.dom, f.cod
     if g.dom != Q or g.cod != P:
         raise ValueError("maps do not form a P -> Q / Q -> P pair")
     fi, gi = f.image, g.image
+    gf, fg = [gi[c] for c in fi], [fi[c] for c in gi]
     laws = (
-        (P, lambda x: P.ups[x] >> gi[fi[x]] & 1, "unit: {0!r} is not below g(f({0!r}))"),
-        (Q, lambda z: Q.ups[fi[gi[z]]] >> z & 1, "counit: f(g({0!r})) is not below {0!r}"),
-        (P, lambda x: fi[gi[fi[x]]] == fi[x], "f∘g∘f = f fails at {0!r}"),
-        (Q, lambda z: gi[fi[gi[z]]] == gi[z], "g∘f∘g = g fails at {0!r}"),
+        (P, [row >> c & 1 for row, c in zip(P.ups, gf)], "unit: {0!r} is not below g(f({0!r}))"),
+        (Q, [row >> c & 1 for row, c in zip(Q.downs, fg)], "counit: f(g({0!r})) is not below {0!r}"),
+        (P, list(map(eq, map(fg.__getitem__, fi), fi)), "f∘g∘f = f fails at {0!r}"),
+        (Q, list(map(eq, map(gf.__getitem__, gi), gi)), "g∘f∘g = g fails at {0!r}"),
     )
-    failed: list[str] = []
-    for poset, holds, message in laws:
-        for i, e in enumerate(poset.elements):
-            if not holds(i):
-                failed.append(message.format(e))
-                break
-    return tuple(failed)
+    return tuple(
+        message.format(poset.elements[holds.index(0)]) for poset, holds, message in laws if not all(holds)
+    )
 
 
 @record
@@ -452,13 +467,18 @@ class FloorCeilingReport:
         return all(row.ok for row in self.rows)
 
 
+def _ratio(num: int, den: int) -> str:
+    """``num/den`` (den > 0) in lowest terms, or the integer it equals: ``str(Fraction(num, den))``."""
+    common = math.gcd(num, den)
+    return str(num // common) if den == common else f"{num // common}/{den // common}"
+
+
 def integer_grid_inclusion(k: int, denominator: int) -> MonotoneMap:
     """Inclusion of the integer chain [-k, k] into the 1/denominator grid."""
     if k <= 0 or denominator <= 0:
         raise ValueError("k and denominator must be positive")
-    grid = FinitePoset.chain(
-        str(Fraction(num, denominator)) for num in range(-k * denominator, k * denominator + 1)
-    )
+    points = range(-k * denominator, k * denominator + 1)
+    grid = FinitePoset.chain(_ratio(num, denominator) for num in points)
     ints = FinitePoset.chain(str(n) for n in range(-k, k + 1))
     return MonotoneMap._from_image(ints, grid, tuple(range(0, len(grid.elements), denominator)))
 
@@ -478,10 +498,9 @@ def floor_ceiling_demo(k: int, denominator: int) -> FloorCeilingReport:
     verify_adjunction(ceiling_map, inclusion)
     verify_adjunction(inclusion, floor_map)
     ints, rows = inclusion.dom.elements, []
-    points = range(-k * denominator, k * denominator + 1)
-    for num, floor, ceiling in zip(points, floor_map.image, ceiling_map.image):
-        q = Fraction(num, denominator)
+    nums = range(-k * denominator, k * denominator + 1)
+    for label, num, floor, ceiling in zip(inclusion.cod.elements, nums, floor_map.image, ceiling_map.image):
         rows.append(FloorCeilingRow(
-            str(q), ints[floor], str(math.floor(q)), ints[ceiling], str(math.ceil(q))
+            label, ints[floor], str(num // denominator), ints[ceiling], str(-(-num // denominator))
         ))
     return FloorCeilingReport(k=k, denominator=denominator, rows=tuple(rows))

@@ -192,6 +192,20 @@ def right_adjoint(dom: RefPoset, cod: RefPoset, graph):
     return result
 
 
+def approximation(dom: RefPoset, cod: RefPoset, graph, x):
+    """The approximants of x along g = (dom -> cod, graph) in domain element
+    order, the least of them or None, and the status: "found", "no-least" or
+    "empty"."""
+    approximants = tuple(y for y in dom.elements if cod.le(x, graph[y]))
+    best = dom.least_of(approximants)
+    return approximants, best, "found" if best is not None else "no-least" if approximants else "empty"
+
+
+def greatest_below(dom: RefPoset, cod: RefPoset, graph, z):
+    """The greatest x with graph[x] <= z, or None."""
+    return dom.greatest_of([x for x in dom.elements if cod.le(graph[x], z)])
+
+
 def adjunction_witness(P: RefPoset, Q: RefPoset, f, g):
     """First pair (x, z), in element order, violating ``x <= g(z) iff
     f(x) <= z`` for f = (P -> Q, graph) and g = (Q -> P, graph), or None."""

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -245,6 +247,19 @@ class TestFloorCeiling:
     def test_matches_arithmetic_everywhere(self):
         assert floor_ceiling_demo(3, 2).ok
         assert floor_ceiling_demo(2, 3).ok
+
+    def test_grid_labels_are_in_lowest_terms(self):
+        assert integer_grid_inclusion(1, 6).cod.elements[:5] == ("-1", "-5/6", "-2/3", "-1/2", "-1/3")
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_labels_and_rows_match_fraction_floor_and_ceil(self, k):
+        for d in range(1, 13):
+            points = [Fraction(num, d) for num in range(-k * d, k * d + 1)]
+            assert integer_grid_inclusion(k, d).cod.elements == tuple(map(str, points))
+            rows = [(str(q), str(math.floor(q)), str(math.ceil(q))) for q in points]
+            report = floor_ceiling_demo(k, d)
+            assert [(r.point, r.floor, r.ceiling) for r in report.rows] == rows
+            assert [(r.point, r.floor_expected, r.ceiling_expected) for r in report.rows] == rows
 
 
 class TestCrossModuleConsistency:

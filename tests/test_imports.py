@@ -154,6 +154,20 @@ def test_no_session_loads_dataclasses_or_inspect(code):
     assert not loaded_modules(code, prefix="") & {"dataclasses", "inspect"}
 
 
+ADJOINTS = (
+    "import contextlib, io\n"
+    "from fincat import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.run(['adjoints', 'fixtures/inclusion.json']) == 0"
+)
+
+
+@pytest.mark.parametrize("code", ["import fincat.galois", ADJOINTS], ids=["galois", "cli_adjoints"])
+def test_orders_load_neither_fractions_nor_decimal(code):
+    # grid labels, floors and ceilings are integer arithmetic
+    assert not loaded_modules(code, prefix="") & {"fractions", "decimal"}
+
+
 def test_star_import_loads_every_namespace_module():
     loaded = loaded_modules("from fincat import *")
     assert loaded == {"fincat", *(f"fincat.{home}" for home in EXPORTS)}

@@ -1,7 +1,8 @@
 """The bitmask orders and subset operators against the pair-set reference
 (`reference_orders`) on random relations, maps and subsets of at most eight
-elements, cyclic relations included, and the order checks on orders of up to
-130 elements, at the edges of the mask kernels."""
+elements, cyclic relations and shuffled element orders included, and the order
+checks and transposes on orders of up to 130 elements, at the edges of the mask
+kernels."""
 
 import random
 
@@ -15,8 +16,12 @@ from fincat.errors import AdjunctionFails, InvalidPoset, NotDownClosed, NotMonot
 from fincat.galois import (
     FinitePoset,
     MonotoneMap,
+    _transpose,
+    _truths,
     adjunction_witness,
+    approximation_report,
     bits,
+    greatest_below,
     left_adjoint,
     right_adjoint,
     unit_counit_violations,
@@ -86,6 +91,74 @@ def test_order_queries_agree(rel, data):
     subset = data.draw(st.lists(st.sampled_from(elements), unique=True)) if elements else []
     assert new.least_of(subset) == old.least_of(subset)
     assert new.greatest_of(subset) == old.greatest_of(subset)
+
+
+@st.composite
+def shuffled_orders(draw, prefix="s", max_size=7):
+    """Elements, a sparse relation and a hidden order: the pairs point up the
+    hidden order, whose first element is made least (or not) and whose last
+    greatest (or not), and the element list is a shuffle of it, so a pick's
+    walk may take several steps."""
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    hidden = [f"{prefix}{i}" for i in range(n)]
+    if n == 0:
+        return hidden, [], hidden
+    index_pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted)
+    pairs = [(hidden[i], hidden[j]) for i, j in draw(st.lists(index_pairs, max_size=2 * n))]
+    if draw(st.booleans()):
+        pairs += [(hidden[0], x) for x in hidden]
+    if draw(st.booleans()):
+        pairs += [(x, hidden[-1]) for x in hidden]
+    return draw(st.permutations(hidden)), pairs, hidden
+
+
+@given(shuffled_orders(), st.data())
+def test_picks_agree_on_shuffled_orders(order, data):
+    elements, pairs, _ = order
+    new = FinitePoset.from_relation(elements, pairs)
+    old = ref.RefPoset.from_relation(elements, pairs)
+    for x in elements:
+        for y in elements:
+            assert new.glb(x, y) == old.glb(x, y)
+            assert new.lub(x, y) == old.lub(x, y)
+    subset = data.draw(st.lists(st.sampled_from(elements), unique=True)) if elements else []
+    for part in (elements, subset):
+        assert new.least_of(part) == old.least_of(part)
+        assert new.greatest_of(part) == old.greatest_of(part)
+
+
+@st.composite
+def shuffled_maps(draw):
+    """A monotone map between two shuffled orders: each domain element, taken in
+    the hidden order, goes to a drawn element above the images of everything
+    below it; where no such element exists the map is constant instead."""
+    dom, dom_pairs, hidden = draw(shuffled_orders("x", max_size=6).filter(lambda order: order[0]))
+    cod, cod_pairs, _ = draw(shuffled_orders("y", max_size=6).filter(lambda order: order[0]))
+    P, Q = ref.RefPoset.from_relation(dom, dom_pairs), ref.RefPoset.from_relation(cod, cod_pairs)
+    graph = {}
+    for x in hidden:
+        lower = [graph[y] for y in graph if P.le(y, x)]
+        above = [c for c in cod if all(Q.le(b, c) for b in lower)]
+        if not above:
+            graph = dict.fromkeys(dom, draw(st.sampled_from(cod)))
+            break
+        graph[x] = draw(st.sampled_from(above))
+    return (dom, dom_pairs), (cod, cod_pairs), graph
+
+
+@given(shuffled_maps())
+def test_adjoint_picks_agree_on_shuffled_orders(spec):
+    (dom, dom_pairs), (cod, cod_pairs), graph = spec
+    P, Q = FinitePoset.from_relation(dom, dom_pairs), FinitePoset.from_relation(cod, cod_pairs)
+    RP, RQ = ref.RefPoset.from_relation(dom, dom_pairs), ref.RefPoset.from_relation(cod, cod_pairs)
+    m = MonotoneMap(P, Q, graph)
+    for x in cod:
+        report = approximation_report(m, x)
+        assert (report.approximants, report.best, report.status) == ref.approximation(RP, RQ, graph, x)
+        assert greatest_below(m, x) == ref.greatest_below(RP, RQ, graph, x)
+    left, right = left_adjoint(m), right_adjoint(m)
+    assert (left and left.graph) == ref.left_adjoint(RP, RQ, graph)
+    assert (right and right.graph) == ref.right_adjoint(RP, RQ, graph)
 
 
 @st.composite
@@ -313,6 +386,19 @@ def test_monotone_check_matches_the_reference_at_edge_sizes(dom_rel, cod_rel, da
             assert adjunction_witness(f, g) is None
             RF, RG = (RP, RQ) if f is m else (RQ, RP)
             assert ref.adjunction_witness(RF, RG, f.graph, g.graph) is None
+
+
+@pytest.mark.parametrize("width", (63, 64, 65, 127, 128, 129, 130))
+@pytest.mark.parametrize("count", (63, 64, 65, 127, 128, 129, 130))
+def test_transpose_matches_the_bit_by_bit_definition(count, width):
+    """Both paths of the transpose, and the one given the digit table, at the
+    word and digit-table boundaries, from empty rows to full ones."""
+    rng = random.Random(count * 1000 + width)
+    for density in (0.0, 0.03, 0.5, 1.0):
+        rows = [sum(1 << j for j in range(width) if rng.random() < density) for _ in range(count)]
+        columns = [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(width)]
+        assert _transpose(rows, width) == columns
+        assert _transpose(rows, width, _truths(rows, width)) == columns
 
 
 def test_cycle_witness_is_the_first_in_element_order():
